@@ -13,8 +13,20 @@ R flips the sign on even n so that negative R consistently reads as a
 net reduction of joint uncertainty (synergy between the variables) and
 positive R as net added variation.
 
+Every entropy here comes from one formula over cell counts c summing to
+w, H = log2(w) - sum c log2(c) / w with empty cells dropped (a
+probability table is the case w = 1), and every table is built from one
+row encoder that indexes categories by first appearance.
+
 ``synergy_indicator`` evaluates R over a sliding window of an event
-stream, producing a time-resolved series.
+stream, producing a time-resolved series. It is a sliding-count engine:
+the stream is encoded once into integer codes, each nonempty sub-subset
+gets one mixed-radix key per event, and every window's cell counts come
+from a cumulative sum over the stream, one cell at a time. No table is
+built per window. Relabelling the categories inside a window cannot
+change an entropy, so the series equals a per-window recompute up to
+rounding. For N events and K observed cells per marginal the cost is
+O((2^n - 1) K N), independent of the window length and the stride.
 """
 from __future__ import annotations
 
@@ -78,6 +90,15 @@ class ProbabilityTable:
     def marginal(self, subset) -> "ProbabilityTable":
         """Marginal table over ``subset``, axes reordered to subset order."""
         subset = tuple(subset)
+        marg = self._marginal_probabilities(subset)
+        cats = None
+        if self.categories is not None:
+            cats = tuple(self.categories[i] for i in self.axes_of(subset))
+        return ProbabilityTable(subset, marg, cats)
+
+    def _marginal_probabilities(self, subset) -> np.ndarray:
+        """Probabilities summed over the other axes, in subset axis order."""
+        subset = tuple(subset)
         if not subset:
             raise ValueError("empty subset")
         if len(subset) != len(set(subset)):
@@ -88,11 +109,7 @@ class ProbabilityTable:
         # sum() over axes preserves the original axis order; permute to subset order
         kept_order = [i for i in range(len(self.variables)) if i in keep]
         perm = [kept_order.index(i) for i in keep]
-        marg = np.transpose(marg, perm)
-        cats = None
-        if self.categories is not None:
-            cats = tuple(self.categories[i] for i in keep)
-        return ProbabilityTable(subset, marg, cats)
+        return np.transpose(marg, perm)
 
 
 @dataclass(frozen=True)
@@ -123,6 +140,57 @@ class RedundancySeries:
     window_length: int
 
 
+def _encode_rows(rows, arity: int) -> tuple[np.ndarray, tuple[tuple, ...]]:
+    """Integer codes, one column per variable, and the labels they index.
+
+    Every row's arity is checked before anything is encoded. Categories
+    are indexed by first appearance, independently in each column.
+    """
+    rows = [tuple(row) for row in rows]
+    for row in rows:
+        if len(row) != arity:
+            raise ValueError(
+                f"row arity {len(row)} does not match {arity} variables"
+            )
+    codes = np.empty((len(rows), arity), dtype=np.int64)
+    categories = []
+    for j in range(arity):
+        index: dict = {}
+        codes[:, j] = [index.setdefault(row[j], len(index)) for row in rows]
+        categories.append(tuple(index))
+    return codes, tuple(categories)
+
+
+def _entropy_bits(count_blocks, total):
+    """H = log2(total) - sum c log2(c) / total in bits; empty cells drop out.
+
+    ``count_blocks`` yields arrays of cell counts with the cells on axis 0.
+    Any further axis (one entry per window) is kept, so cells can be
+    handed in one at a time. Probabilities are counts with total 1.
+    """
+    acc = 0.0
+    for counts in count_blocks:
+        counts = np.asarray(counts, dtype=float)
+        positive = np.where(counts > 0.0, counts, 1.0)
+        acc = acc + (counts * np.log2(positive)).sum(axis=0)
+    return np.log2(total) - acc / total
+
+
+def _redundancy_sign(n: int) -> float:
+    """The (-1)^(n-1) that turns T into R for an n-variable subset."""
+    return 1.0 if (n - 1) % 2 == 0 else -1.0
+
+
+def _interaction_information(subset: tuple, entropy_of):
+    """T(S) = sum over nonempty U of (-1)^(|U|+1) entropy_of(U)."""
+    total = 0.0
+    for size in range(1, len(subset) + 1):
+        sign = 1.0 if size % 2 == 1 else -1.0
+        for combo in itertools.combinations(subset, size):
+            total += sign * entropy_of(combo)
+    return total
+
+
 def from_observations(rows, variables, pseudocount: float = 0.0) -> ProbabilityTable:
     """Estimate a joint table from categorical observations.
 
@@ -135,37 +203,18 @@ def from_observations(rows, variables, pseudocount: float = 0.0) -> ProbabilityT
         raise ValueError("no observations")
     if pseudocount < 0.0:
         raise ValueError("pseudocount must be nonnegative")
-    arity = len(variables)
-    index_maps: list[dict] = [{} for _ in range(arity)]
-    encoded = []
-    for row in rows:
-        row = tuple(row)
-        if len(row) != arity:
-            raise ValueError(
-                f"row arity {len(row)} does not match {arity} variables"
-            )
-        code = []
-        for j, value in enumerate(row):
-            m = index_maps[j]
-            if value not in m:
-                m[value] = len(m)
-            code.append(m[value])
-        encoded.append(tuple(code))
-    shape = tuple(len(m) for m in index_maps)
-    counts = np.zeros(shape, dtype=float)
-    for code in encoded:
-        counts[code] += 1.0
+    codes, categories = _encode_rows(rows, len(variables))
+    counts = np.zeros(tuple(len(c) for c in categories), dtype=float)
+    np.add.at(counts, tuple(codes.T), 1.0)
     counts += pseudocount
     probs = counts / counts.sum()
-    categories = tuple(tuple(m.keys()) for m in index_maps)
     return ProbabilityTable(variables, probs, categories)
 
 
 def entropy(table: ProbabilityTable, subset) -> float:
     """Joint Shannon entropy of ``subset`` in bits, with 0 log 0 = 0."""
-    p = table.marginal(subset).probabilities.ravel()
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+    p = table._marginal_probabilities(subset).ravel()
+    return float(_entropy_bits([p], 1.0))
 
 
 def mutual_information(table: ProbabilityTable, subset) -> float:
@@ -178,19 +227,13 @@ def mutual_information(table: ProbabilityTable, subset) -> float:
     subset = tuple(subset)
     if len(subset) < 2:
         raise ValueError("mutual information needs at least two variables")
-    total = 0.0
-    for size in range(1, len(subset) + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        for combo in itertools.combinations(subset, size):
-            total += sign * entropy(table, combo)
-    return total
+    return _interaction_information(subset, lambda combo: entropy(table, combo))
 
 
 def mutual_redundancy(table: ProbabilityTable, subset) -> float:
     """Signed redundancy R = (-1)^(n-1) T; negative values signal synergy."""
     subset = tuple(subset)
-    sign = 1.0 if (len(subset) - 1) % 2 == 0 else -1.0
-    return sign * mutual_information(table, subset)
+    return _redundancy_sign(len(subset)) * mutual_information(table, subset)
 
 
 def information_report(table: ProbabilityTable, subset) -> InformationReport:
@@ -199,8 +242,7 @@ def information_report(table: ProbabilityTable, subset) -> InformationReport:
     h = entropy(table, subset)
     if len(subset) >= 2:
         t = mutual_information(table, subset)
-        sign = 1.0 if (len(subset) - 1) % 2 == 0 else -1.0
-        r = sign * t
+        r = _redundancy_sign(len(subset)) * t
     else:
         t = None
         r = None
@@ -211,27 +253,55 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
     """Sliding-window mutual redundancy over an event stream.
 
     Windows are half-open ``[start, start + window)``, advanced by
-    ``stride``; an incomplete tail window is dropped. Each window is
-    turned into a frequency table and reduced to R over ``subset``.
+    ``stride``; an incomplete tail window is dropped. The whole input is
+    validated before anything is counted, including rows that fall in
+    the dropped tail or between strided windows. Each window's R over
+    ``subset`` comes from sliding cell counts (see the module docstring).
     """
-    stream = list(stream)
+    variables = tuple(variables)
     subset = tuple(subset)
     if window < 8:
         raise ValueError("window must be at least 8 samples")
     if stride < 1:
         raise ValueError("stride must be positive")
-    if window > len(stream):
+    if len(variables) != len(set(variables)):
+        raise ValueError("duplicate variable labels")
+    if len(subset) != len(set(subset)):
+        raise ValueError("repeated variable in subset")
+    if len(subset) < 2:
+        raise ValueError("mutual redundancy needs at least two variables")
+    missing = [v for v in subset if v not in variables]
+    if missing:
+        raise ValueError(f"unknown variable labels: {missing}")
+    codes, categories = _encode_rows(stream, len(variables))
+    n_events = len(codes)
+    if window > n_events:
         raise ValueError(
-            f"window of {window} exceeds stream length {len(stream)}"
+            f"window of {window} exceeds stream length {n_events}"
         )
-    starts = []
-    values = []
-    for start in range(0, len(stream) - window + 1, stride):
-        table = from_observations(stream[start:start + window], variables)
-        starts.append(start)
-        values.append(mutual_redundancy(table, subset))
+    starts = np.arange(0, n_events - window + 1, stride)
+    ends = starts + window
+    cumulative = np.zeros(n_events + 1, dtype=np.int64)
+
+    def window_counts(key, n_cells):
+        for cell in range(n_cells):
+            np.cumsum(key == cell, out=cumulative[1:])
+            yield (cumulative[ends] - cumulative[starts])[np.newaxis]
+
+    def window_entropy(combo):
+        # mixed-radix key per event, renumbered densely after each digit
+        key = np.zeros(n_events, dtype=np.int64)
+        for label in combo:
+            j = variables.index(label)
+            cells, key = np.unique(key * len(categories[j]) + codes[:, j],
+                                   return_inverse=True)
+            n_cells = len(cells)
+        return _entropy_bits(window_counts(key, n_cells), window)
+
+    values = _redundancy_sign(len(subset)) * _interaction_information(
+        subset, window_entropy)
     return RedundancySeries(
-        window_starts=np.asarray(starts, dtype=int),
+        window_starts=starts,
         redundancy_bits=np.asarray(values, dtype=float),
         window_length=window,
     )

@@ -141,6 +141,59 @@ class TestSynergyIndicator:
                                       window=8, stride=8)
         assert series.window_starts.tolist() == [0, 8]
 
+    @pytest.mark.parametrize("stream, subset, stride", [
+        # ragged row in the dropped tail (windows cover rows 0..15 only)
+        ([(0, 1)] * 19 + [(0, 1, 2)], ("a", "b"), 8),
+        # ragged row in the stride gap between windows [0, 8) and [16, 24)
+        ([(0, 1)] * 10 + [(0,)] + [(0, 1)] * 13, ("a", "b"), 16),
+        ([(0, 1)] * 24, ("a", "c"), 8),
+        ([(0, 1)] * 24, ("a", "a"), 8),
+        ([(0, 1)] * 24, ("a",), 8),
+    ], ids=["ragged-tail-row", "ragged-gap-row", "unknown-label",
+            "repeated-label", "too-few-labels"])
+    def test_bad_input_rejected_up_front(self, stream, subset, stride):
+        with pytest.raises(ValueError):
+            it.synergy_indicator(stream, ("a", "b"), subset,
+                                 window=8, stride=stride)
+
+    def test_duplicate_variable_labels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate variable"):
+            it.synergy_indicator([(0, 1)] * 16, ("a", "a"), ("a", "a"),
+                                 window=8, stride=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sliding_counts_match_per_window_recompute(data):
+    n_vars = data.draw(st.integers(2, 4), label="n_vars")
+    cards = data.draw(st.lists(st.integers(1, 4), min_size=n_vars,
+                               max_size=n_vars), label="cards")
+    n_events = data.draw(st.integers(8, 60), label="n_events")
+    stream = [tuple(data.draw(st.integers(0, c - 1)) for c in cards)
+              for _ in range(n_events)]
+    variables = tuple(f"v{i}" for i in range(n_vars))
+    subset = tuple(data.draw(st.permutations(variables), label="order")[
+        :data.draw(st.integers(2, n_vars), label="size")])
+    window = data.draw(st.integers(8, n_events), label="window")
+    stride = data.draw(st.integers(1, n_events), label="stride")
+
+    series = it.synergy_indicator(stream, variables, subset, window, stride)
+    starts = list(range(0, n_events - window + 1, stride))
+    assert series.window_starts.tolist() == starts
+    want = [it.mutual_redundancy(
+        it.from_observations(stream[s:s + window], variables), subset)
+        for s in starts]
+    np.testing.assert_allclose(series.redundancy_bits, want, rtol=0.0,
+                               atol=1e-12)
+
+    relabelled = [tuple(f"c{cards[j] - 1 - v}" for j, v in enumerate(row))
+                  for row in stream]
+    again = it.synergy_indicator(relabelled, variables, subset, window,
+                                 stride)
+    np.testing.assert_array_equal(again.window_starts, series.window_starts)
+    np.testing.assert_array_equal(again.redundancy_bits,
+                                  series.redundancy_bits)
+
 
 class TestTableValidation:
     def test_negative_probability_rejected(self):
