@@ -12,6 +12,7 @@ re-running an identical command reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import infotheory, lcwt, models, stats, synth
-from .fit import TimeSeries, fit_soliton_chain, ols
+from .fit import (FitResult, RegressionResult, TimeSeries, fit_soliton_chain,
+                  ols)
 
 OUT_DIR_ENV = "SYNWAVE_OUT_DIR"
 
@@ -123,24 +125,19 @@ def _config_comments(config: dict) -> list[str]:
 
 
 def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    header = None
-    rows = []
+    """Header and data rows; blank and ``#`` lines are skipped and quoted
+    cells may hold commas."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = [c.strip() for c in line.split(",")]
-                if header is None:
-                    header = cells
-                else:
-                    rows.append(cells)
+            lines = [raw.strip() for raw in fh]
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    if header is None:
+    records = [[cell.strip() for cell in cells] for cells in csv.reader(
+        (line for line in lines if line and not line.startswith("#")),
+        skipinitialspace=True)]
+    if not records:
         raise ValueError(f"{path} is empty")
-    return header, rows
+    return records[0], records[1:]
 
 
 def ingest_timeseries(path, value_column: str | None = None,
@@ -198,10 +195,6 @@ def ingest_timeseries(path, value_column: str | None = None,
             times = np.array([float(r[t_idx]) for r in rows])
         except ValueError as exc:
             raise ValueError("non-numeric time cell") from exc
-        steps = np.diff(times)
-        if times.size > 1 and (np.any(steps <= 0) or np.any(
-                np.abs(steps - steps[0]) > 1e-9 * max(1.0, abs(steps[0])))):
-            raise ValueError("explicit time column is not uniformly spaced")
     return TimeSeries(times, values)
 
 
@@ -292,10 +285,21 @@ def _cmd_synergy(args) -> int:
     return EXIT_OK
 
 
-def _fit_payload(series: TimeSeries, n_components: int, config: dict) -> dict:
+def _lags(value: str):
+    """The ``--lags`` option: ``"auto"`` or a lag count."""
+    return "auto" if value == "auto" else int(value)
+
+
+def _fit_chain(series: TimeSeries, n_components: int
+               ) -> tuple[FitResult, np.ndarray, RegressionResult]:
+    """Pulse-chain fit, its predictions, and their regression on the data."""
     result = fit_soliton_chain(series, n_components)
     predictions = models.chain_eval(result.model, series.times)
-    regression = ols(predictions, series.values)
+    return result, predictions, ols(predictions, series.values)
+
+
+def _fit_payload(result: FitResult, regression: RegressionResult,
+                 config: dict) -> dict:
     return {
         "config": config,
         "beta": result.model.beta,
@@ -316,7 +320,8 @@ def _cmd_fit(args) -> int:
                                args.time_column, args.fill)
     config = {"input": str(args.input), "components": args.components,
               "seed": args.seed}
-    payload = _fit_payload(series, args.components, config)
+    result, _, regression = _fit_chain(series, args.components)
+    payload = _fit_payload(result, regression, config)
     out_dir = _resolve_out_dir(args.out_dir)
     path = out_dir / "fit_report.json"
     write_json(path, payload)
@@ -330,37 +335,42 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _extraction_payload(series: TimeSeries, config: dict, scales: np.ndarray):
+def _cwt_stage(series: TimeSeries, config: dict, out_dir: Path, svg: bool
+               ) -> tuple[lcwt.ExtractionResult, list[lcwt.WaveTrain]]:
+    """Scalogram, wave extraction and wave trains, written to ``out_dir``.
+
+    ``config`` supplies the ``scales`` count, ``max_waves`` and
+    ``energy_stop``, and is recorded in every file.
+    """
+    scales = lcwt.default_scales(len(series), config["scales"])
+    comments = _config_comments(config)
+    scalogram = lcwt.cwt(series, scales)
+    lcwt.scalogram_to_csv(scalogram, out_dir / "scalogram.csv", comments)
+    if svg:
+        lcwt.scalogram_to_svg(scalogram, out_dir / "scalogram.svg",
+                              comments=comments)
     extraction = lcwt.extract_waves(
         series, max_waves=config["max_waves"],
         energy_stop=config["energy_stop"], scales=scales)
     trains = lcwt.group_wave_trains(extraction.waves)
-    payload = {
+    write_json(out_dir / "wave_trains.json", {
         "config": config,
         "waves": [w.to_dict() for w in extraction.waves],
         "trains": [t.to_dict() for t in trains],
         "low_confidence": extraction.low_confidence,
         "energy_history": list(extraction.energy_history),
-    }
-    return extraction, trains, payload
+    })
+    return extraction, trains
 
 
 def _cmd_cwt(args) -> int:
     series = ingest_timeseries(args.input, args.value_column,
                                args.time_column, args.fill)
-    scales = lcwt.default_scales(len(series), args.scales)
     config = {"input": str(args.input), "scales": args.scales,
               "max_waves": args.max_waves, "energy_stop": args.energy_stop,
               "seed": args.seed}
     out_dir = _resolve_out_dir(args.out_dir)
-    scalogram = lcwt.cwt(series, scales)
-    lcwt.scalogram_to_csv(scalogram, out_dir / "scalogram.csv",
-                          _config_comments(config))
-    if args.svg:
-        lcwt.scalogram_to_svg(scalogram, out_dir / "scalogram.svg",
-                              comments=_config_comments(config))
-    extraction, _, payload = _extraction_payload(series, config, scales)
-    write_json(out_dir / "wave_trains.json", payload)
+    extraction, _ = _cwt_stage(series, config, out_dir, args.svg)
     print(f"{len(extraction.waves)} waves retained, "
           f"low_confidence={extraction.low_confidence}")
     print(f"wrote {out_dir / 'scalogram.csv'} and "
@@ -371,8 +381,7 @@ def _cmd_cwt(args) -> int:
 def _cmd_adf(args) -> int:
     series = ingest_timeseries(args.input, args.value_column,
                                args.time_column, args.fill)
-    lags = "auto" if args.lags == "auto" else int(args.lags)
-    result = stats.adf_test(series, lags, args.kind)
+    result = stats.adf_test(series, _lags(args.lags), args.kind)
     out_dir = _resolve_out_dir(args.out_dir)
     payload = {"config": {"input": str(args.input), "lags": args.lags,
                           "kind": args.kind, "seed": args.seed}}
@@ -412,34 +421,19 @@ def run_pipeline(config: PipelineConfig) -> int:
     conf = config.to_dict()
 
     # stage 1: pulse-chain fit and its regression diagnostics
-    fit_payload = _fit_payload(series, config.components, conf)
-    write_json(out_dir / "fit_report.json", fit_payload)
+    chain_fit, predictions, regression = _fit_chain(series,
+                                                    config.components)
+    write_json(out_dir / "fit_report.json",
+               _fit_payload(chain_fit, regression, conf))
     write_json(out_dir / "regression_report.json",
-               {"config": conf, **fit_payload["regression"]})
+               {"config": conf, **regression.to_dict()})
 
     # stage 2: scalogram and iterative wave extraction
-    scales = lcwt.default_scales(len(series), config.scales)
-    scalogram = lcwt.cwt(series, scales)
-    lcwt.scalogram_to_csv(scalogram, out_dir / "scalogram.csv",
-                          _config_comments(conf))
+    extraction, trains = _cwt_stage(series, conf, out_dir, config.svg)
     if config.svg:
-        lcwt.scalogram_to_svg(scalogram, out_dir / "scalogram.svg",
-                              comments=_config_comments(conf))
-    extraction, trains, wave_payload = _extraction_payload(
-        series, {**conf, "max_waves": config.max_waves,
-                 "energy_stop": config.energy_stop}, scales)
-    write_json(out_dir / "wave_trains.json", wave_payload)
-    if config.svg:
-        model_values = models.chain_eval(
-            models.SolitonChainModel(
-                beta=fit_payload["beta"],
-                components=tuple(
-                    models.SolitonComponent(c["A"], c["k"], c["center"])
-                    for c in fit_payload["components"])),
-            series.times)
         write_line_plot(out_dir / "decomposition.svg", series.times, {
             "data": (series.values, "#888888"),
-            "fitted chain": (model_values, "#d62728"),
+            "fitted chain": (predictions, "#d62728"),
             "extraction residual": (extraction.residual.values, "#1f77b4"),
         }, comments=_config_comments(conf))
 
@@ -458,14 +452,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             fh.write(f"{t!r},{hist[i]!r},{syn[i]!r},{total[i]!r}\n")
 
     # stage 4: unit-root and cointegration validation of data vs model
-    model = models.SolitonChainModel(
-        beta=fit_payload["beta"],
-        components=tuple(models.SolitonComponent(c["A"], c["k"], c["center"])
-                         for c in fit_payload["components"]),
-    )
-    predictions = models.chain_eval(model, series.times)
-    lags = "auto" if config.lags == "auto" else int(config.lags)
-    adf_data = stats.adf_test(series, lags, config.kind)
+    adf_data = stats.adf_test(series, _lags(config.lags), config.kind)
     validation_error = None
     cointegration = None
     try:
@@ -492,8 +479,8 @@ def run_pipeline(config: PipelineConfig) -> int:
     }
     write_json(out_dir / "validation.json", validation)
 
-    print(f"fit: beta={_fmt(fit_payload['beta'])} "
-          f"R2={_fmt(fit_payload['regression']['r2'])}")
+    print(f"fit: beta={_fmt(chain_fit.model.beta)} "
+          f"R2={_fmt(regression.r_squared)}")
     print(f"extraction: {len(extraction.waves)} waves, "
           f"low_confidence={extraction.low_confidence}")
     print(f"validation: passed={passed}")

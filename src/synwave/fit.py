@@ -32,7 +32,7 @@ _MAX_ITERATIONS = 500
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled series: strictly increasing constant-step times."""
+    """Uniformly sampled finite series: strictly increasing constant-step times."""
 
     times: np.ndarray
     values: np.ndarray
@@ -46,6 +46,8 @@ class TimeSeries:
             raise ValueError("times and values differ in length")
         if t.size == 0:
             raise ValueError("empty series")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("times and values must be finite")
         if t.size > 1:
             steps = np.diff(t)
             if np.any(steps <= 0.0):
@@ -435,8 +437,6 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
     ``select_by_aic`` the count ``n`` becomes an upper bound and the fit
     with the lowest SSE-based information criterion wins.
     """
-    if not np.all(np.isfinite(series.values)):
-        raise ValueError("series contains non-finite values")
     if select_by_aic:
         if n is None:
             raise ValueError("AIC selection needs a maximum component count")
@@ -530,8 +530,6 @@ def fit_logistic_sum(cumulative: TimeSeries, n: int,
     logistic parameters (x_sat = 2A/k, s = 2k, t0 = c) are then refined
     directly against the cumulative values with the same optimizer.
     """
-    if not np.all(np.isfinite(cumulative.values)):
-        raise ValueError("series contains non-finite values")
     if len(cumulative) <= 3 * n + 1:
         raise ValueError(f"series too short to fit {n} steps")
     times = cumulative.times

@@ -12,9 +12,11 @@ L2-normalized correlation
     W(a, b) = a^(-1/2) sum_t x(t) psi((t - b) / a) dt
 
 computed over a log-spaced scale grid with reflection padding at the
-boundaries. ``extract_waves`` repeats a locate / fit / subtract loop on
-the scalogram maximum, yielding sech^2 pulse estimates whose sign-
-homogeneous groups (wave trains) carry a linear peak trend, and
+boundaries. ``extract_waves`` repeats a locate / fit / subtract loop:
+each pass ranks the scalogram's local |W| maxima outside the boundary
+fringe, seeds a pulse at each of the strongest well-separated cells and
+keeps the best joint refit. The resulting sech^2 pulse estimates form
+sign-homogeneous groups (wave trains) that carry a linear peak trend, and
 ``redundancy_split`` turns the two trains into nonnegative opposing
 series whose difference reconstructs the extracted signal content.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import TimeSeries, fit_soliton_chain, line_fit
+from .fit import _HALF_MAX_CONST, TimeSeries, fit_soliton_chain, line_fit
 from .models import SolitonChainModel, SolitonComponent, soliton_eval, _sigmoid
 
 DEFAULT_WAVELET_ORDER = 3
@@ -40,9 +42,6 @@ DEFAULT_SNR = 5.0
 # 1e-8 of the peak
 SUPPORT_PER_SCALE = 10.0
 KERNEL_RADIUS_PER_SCALE = 15.0
-
-# half-maximum half-width w of sech^2(k t) has k w = ln(1 + sqrt(2))
-_HALF_WIDTH_CONST = float(np.log(1.0 + np.sqrt(2.0)))
 
 _KAPPA_CACHE: dict[int, float] = {}
 
@@ -200,71 +199,10 @@ def wavelet_scale_constant(order: int = DEFAULT_WAVELET_ORDER) -> float:
     pulse = soliton_eval(SolitonComponent(1.0, k_ref, center), times)
     scales = np.geomspace(2.0, 120.0, 512)
     scalogram = cwt(TimeSeries(times, pulse), scales, order)
-    peak_scale, _, _ = _peak_cell(scalogram)
+    peak_scale, _, _ = _candidate_cells(scalogram, 1, min_edge_scales=0.0)[0]
     kappa = k_ref * peak_scale
     _KAPPA_CACHE[order] = kappa
     return kappa
-
-
-def _peak_cell(s: Scalogram, min_edge_scales: float = 0.0) -> tuple[float, float, float]:
-    """(scale, translation, |W|) at the global |W| maximum.
-
-    ``min_edge_scales`` masks cells closer than that many scale units to
-    either series end, where reflection padding makes coefficients
-    unreliable; the mask is dropped if it would empty the scalogram.
-    Exact ties resolve to the earliest translation, then the smallest
-    scale.
-    """
-    magnitude = np.abs(s.coefficients)
-    if min_edge_scales > 0.0:
-        b = s.translations
-        step = b[1] - b[0] if b.size > 1 else 1.0
-        offsets = (b - b[0]) / step
-        span = offsets[-1]
-        margin = min_edge_scales * s.scales[:, None]
-        mask = (offsets[None, :] >= margin) & (span - offsets[None, :] >= margin)
-        if mask.any():
-            magnitude = np.where(mask, magnitude, -1.0)
-    peak = float(magnitude.max())
-    rows, cols = np.nonzero(magnitude == peak)
-    order = np.lexsort((rows, cols))
-    i, j = int(rows[order[0]]), int(cols[order[0]])
-    return float(s.scales[i]), float(s.translations[j]), peak
-
-
-def dominant_wave(s: Scalogram, series: TimeSeries,
-                  order: int = DEFAULT_WAVELET_ORDER,
-                  min_edge_scales: float = 0.5) -> WaveEstimate:
-    """Strongest pulse in the scalogram, refined against the series.
-
-    The peak search skips the boundary fringe (cells closer to a series
-    end than half their scale). The winning cell seeds (A, k, c) with c
-    at its translation, k from the scale calibration, and A from a
-    two-parameter linear solve over a pulse-plus-offset template; a
-    single-component chain fit then refines the triple on the series.
-    """
-    scale, translation, peak = _peak_cell(s, min_edge_scales)
-    if peak <= 0.0:
-        raise ValueError("all-zero scalogram")
-    kappa = wavelet_scale_constant(order)
-    k0 = kappa / scale
-    template = soliton_eval(SolitonComponent(1.0, k0, translation), series.times)
-    design = np.column_stack([template, np.ones(len(series))])
-    (a0, offset0), *_ = np.linalg.lstsq(design, series.values, rcond=None)
-    if a0 == 0.0 or not np.isfinite(a0):
-        a0 = 1e-12
-    init = SolitonChainModel(
-        beta=float(offset0),
-        components=(SolitonComponent(float(a0), k0, translation),),
-    )
-    result = fit_soliton_chain(series, init=init)
-    comp = result.model.components[0]
-    return WaveEstimate(
-        amplitude=comp.amplitude,
-        k=comp.k,
-        center=comp.center,
-        scalogram_peak=(scale, translation, peak),
-    )
 
 
 def _centered_energy(values: np.ndarray) -> float:
@@ -286,45 +224,50 @@ def _refit_sane(waves, series: TimeSeries) -> bool:
     margin = 0.25 * span
     lo = float(series.times[0]) - margin
     hi = float(series.times[-1]) + margin
-    k_min = _HALF_WIDTH_CONST / (2.0 * span)
+    k_min = _HALF_MAX_CONST / (2.0 * span)
     return all(lo <= w.center <= hi and w.k >= k_min for w in waves)
 
 
 def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5,
                      min_separation: float = 5.0) -> list[tuple[float, float, float]]:
-    """Strongest local |W| maxima, separated in translation.
+    """(scale, translation, |W|) of the strongest local |W| maxima.
 
-    Cells inside the boundary fringe are skipped (same rule as the peak
-    search); ties order by translation then scale.
+    Local means no smaller than both neighbours along translation; cells
+    with |W| = 0 never qualify. ``min_edge_scales`` skips the boundary
+    fringe, cells closer than that many scale units to either series end,
+    where reflection padding makes coefficients unreliable; the fringe
+    rule is dropped if it would leave no cell. Cells rank by |W|
+    descending, then translation ascending, then scale ascending, and are
+    taken greedily in that order when at least ``min_separation`` samples
+    from every cell already taken, until ``count`` are chosen.
     """
     magnitude = np.abs(s.coefficients)
-    b = s.translations
-    step = b[1] - b[0] if b.size > 1 else 1.0
-    offsets = (b - b[0]) / step
-    span = offsets[-1]
-    interior = np.ones_like(magnitude, dtype=bool)
-    if min_edge_scales > 0.0:
-        margin = min_edge_scales * s.scales[:, None]
-        fringe_ok = ((offsets[None, :] >= margin)
-                     & (span - offsets[None, :] >= margin))
-        if fringe_ok.any():
-            interior = fringe_ok
-    local = np.ones_like(magnitude, dtype=bool)
+    local = magnitude > 0.0
     local[:, 1:] &= magnitude[:, 1:] >= magnitude[:, :-1]
     local[:, :-1] &= magnitude[:, :-1] >= magnitude[:, 1:]
-    candidates = np.argwhere(local & interior & (magnitude > 0.0))
-    ranked = sorted(
-        ((float(magnitude[i, j]), float(b[j]), float(s.scales[i]))
-         for i, j in candidates),
-        key=lambda cell: (-cell[0], cell[1], cell[2]),
-    )
+    # drop the full-size copy before ranking: on the 512-scale kappa
+    # calibration it would otherwise set the process's peak memory
+    del magnitude
+    b = s.translations
+    step = b[1] - b[0] if b.size > 1 else 1.0
+    if min_edge_scales > 0.0:
+        offsets = (b - b[0]) / step
+        margin = min_edge_scales * s.scales[:, None]
+        interior = ((offsets[None, :] >= margin)
+                    & (offsets[-1] - offsets[None, :] >= margin))
+        if interior.any():
+            local &= interior
+    rows, cols = np.nonzero(local)
+    scale, trans = s.scales[rows], b[cols]
+    peak = np.abs(s.coefficients[rows, cols])
+    ranked = np.lexsort((scale, trans, -peak))
+    scale, trans, peak = scale[ranked], trans[ranked], peak[ranked]
     chosen: list[tuple[float, float, float]] = []
-    for w, trans, scale in ranked:
-        if all(abs(trans - t) >= min_separation * step for _, t, _ in chosen):
-            chosen.append((w, trans, scale))
-        if len(chosen) == count:
-            break
-    return [(scale, trans, w) for w, trans, scale in chosen]
+    while trans.size and len(chosen) < count:
+        chosen.append((float(scale[0]), float(trans[0]), float(peak[0])))
+        apart = np.abs(trans - trans[0]) >= min_separation * step
+        scale, trans, peak = scale[apart], trans[apart], peak[apart]
+    return chosen
 
 
 def _joint_refit(series: TimeSeries, waves: list[WaveEstimate],
@@ -361,7 +304,8 @@ def _seed_estimate(cell: tuple[float, float, float], series: TimeSeries,
     and the amplitude from a linear pulse-plus-offset solve.
     """
     scale, translation, peak = cell
-    k0 = wavelet_scale_constant(order) / scale
+    # the scale is in samples, k is per time unit
+    k0 = wavelet_scale_constant(order) / (scale * series.dt)
     template = soliton_eval(SolitonComponent(1.0, k0, translation), series.times)
     design = np.column_stack([template, np.ones(len(series))])
     (a0, _), *_ = np.linalg.lstsq(design, series.values, rcond=None)

@@ -131,15 +131,15 @@ def _sigmoid(z):
                     np.where(z < -_TAIL_CUTOFF, 0.0, out))
 
 
-def _match_input(value, *inputs):
-    del inputs
+def _match_input(value):
+    """Python float for scalar results, the array otherwise."""
     return float(value) if np.ndim(value) == 0 else value
 
 
 def logistic_eval(c: LogisticComponent, t):
     """Logistic step value; stable for arguments out to +-700."""
     out = c.x_sat * _sigmoid(c.s * (np.asarray(t, dtype=float) - c.t0))
-    return _match_input(out, t)
+    return _match_input(out)
 
 
 def logistic_derivative_eval(c: LogisticComponent, t):
@@ -150,14 +150,14 @@ def logistic_derivative_eval(c: LogisticComponent, t):
     """
     z = 0.5 * c.s * (np.asarray(t, dtype=float) - c.t0)
     out = 0.25 * c.x_sat * c.s * _sech_squared(z)
-    return _match_input(out, t)
+    return _match_input(out)
 
 
 def soliton_eval(sol: SolitonComponent, t):
     """Pulse value A sech^2(k (t - center)); even about the center."""
     z = sol.k * (np.asarray(t, dtype=float) - sol.center)
     out = sol.amplitude * _sech_squared(z)
-    return _match_input(out, t)
+    return _match_input(out)
 
 
 def chain_eval(m: SolitonChainModel, t):
@@ -166,7 +166,7 @@ def chain_eval(m: SolitonChainModel, t):
     out = np.full(t_arr.shape, m.beta, dtype=float)
     for comp in m.components:
         out += soliton_eval(comp, t_arr)
-    return _match_input(out, t)
+    return _match_input(out)
 
 
 def cumulative_chain_eval(m: SolitonChainModel, t):
@@ -182,7 +182,7 @@ def cumulative_chain_eval(m: SolitonChainModel, t):
         out += (comp.amplitude / comp.k) * (
             1.0 + np.tanh(comp.k * (t_arr - comp.center))
         )
-    return _match_input(out, t)
+    return _match_input(out)
 
 
 def kdv_soliton(k: float, x, t):
@@ -197,21 +197,16 @@ def kdv_soliton(k: float, x, t):
     t_arr = np.asarray(t, dtype=float)
     z = 0.5 * k * (x_arr - k * k * t_arr)
     out = -0.5 * k * k * _sech_squared(z)
-    return _match_input(out, x, t)
+    return _match_input(out)
 
 
-def sample_grid(f, x_grid, t_grid, chunk_rows: int = 64) -> GridFunction:
-    """Sample ``f(x_vector, t_scalar)`` row by row onto a GridFunction.
-
-    Rows are built in chunks to keep peak memory flat on large grids.
-    """
+def sample_grid(f, x_grid, t_grid) -> GridFunction:
+    """Sample ``f(x_vector, t_scalar)`` row by row onto a GridFunction."""
     x = np.asarray(x_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     values = np.empty((t.size, x.size), dtype=float)
-    for start in range(0, t.size, chunk_rows):
-        stop = min(start + chunk_rows, t.size)
-        for i in range(start, stop):
-            values[i, :] = f(x, t[i])
+    for i in range(t.size):
+        values[i, :] = f(x, t[i])
     return GridFunction(x, t, values)
 
 
@@ -253,35 +248,3 @@ def kdv_residual(g: GridFunction) -> float:
 def rescaled_kdv_residual(g: GridFunction, c1: float) -> float:
     """Max-absolute residual of 4 R_T - 2 R R_X + R_XXX + C1 on the interior."""
     return _pde_residual(g, time_coef=4.0, nonlin_coef=-2.0, forcing=float(c1))
-
-
-def grid_to_csv(g: GridFunction, path, comments=()) -> None:
-    """Write a GridFunction as CSV: first row x_grid, first column t_grid."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("," + ",".join(repr(v) for v in g.x_grid.tolist()) + "\n")
-        for i, t in enumerate(g.t_grid.tolist()):
-            row = ",".join(repr(v) for v in g.values[i].tolist())
-            fh.write(f"{t!r},{row}\n")
-
-
-def grid_from_csv(path) -> GridFunction:
-    """Read a GridFunction written by ``grid_to_csv``."""
-    x_grid = None
-    t_vals = []
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if x_grid is None:
-                x_grid = np.array([float(c) for c in cells[1:]])
-                continue
-            t_vals.append(float(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
-    if x_grid is None or not rows:
-        raise ValueError(f"no grid data in {path}")
-    return GridFunction(x_grid, np.array(t_vals), np.array(rows))

@@ -58,6 +58,23 @@ class TestIngest:
         series = cli.ingest_timeseries(path, value_column="x")
         assert len(series) == 250
 
+    @pytest.mark.parametrize("command", ["cwt", "adf"])
+    def test_infinite_cell_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "inf.csv"
+        path.write_text("value\n" + "".join(f"{v}\n" for v in range(40))
+                        + "inf\n")
+        rc = cli.main([command, "--input", str(path),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_quoted_categorical_cell_keeps_its_comma(self, tmp_path):
+        path = tmp_path / "cat.csv"
+        path.write_text('# levels\nx,y\n"lo, x",mid\nhi, "a,b"\n')
+        variables, rows = cli.read_categorical_csv(path)
+        assert variables == ("x", "y")
+        assert rows == [("lo, x", "mid"), ("hi", "a,b")]
+
 
 class TestSynth:
     def test_corn_like_deterministic(self, tmp_path):

@@ -25,6 +25,14 @@ class TestTimeSeries:
         s = fit.TimeSeries(np.array([2.0, 4.0, 6.0]), np.zeros(3))
         assert s.dt == 2.0
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValueError):
+            fit.TimeSeries(np.arange(3.0), np.array([0.0, np.nan, 1.0]))
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError):
+            fit.TimeSeries(np.array([0.0, np.nan, 2.0]), np.zeros(3))
+
 
 class TestOls:
     def test_exact_line(self):

@@ -241,15 +241,6 @@ class TestResiduals:
 
 
 class TestGridCsv:
-    def test_round_trip(self, tmp_path):
-        g = kdv_grid(0.5, 0.1, xlim=3.0, tlim=0.5)
-        path = tmp_path / "grid.csv"
-        models.grid_to_csv(g, path, comments=("k: 1.0",))
-        back = models.grid_from_csv(path)
-        assert np.array_equal(back.x_grid, g.x_grid)
-        assert np.array_equal(back.t_grid, g.t_grid)
-        assert np.array_equal(back.values, g.values)
-
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ValueError):
             models.GridFunction(np.array([0.0, 1.0, 3.0]),
