@@ -342,16 +342,16 @@ def _cwt_stage(series: TimeSeries, config: dict, out_dir: Path, svg: bool
     ``config`` supplies the ``scales`` count, ``max_waves`` and
     ``energy_stop``, and is recorded in every file.
     """
-    scales = lcwt.default_scales(len(series), config["scales"])
-    comments = _config_comments(config)
-    scalogram = lcwt.cwt(series, scales)
-    lcwt.scalogram_to_csv(scalogram, out_dir / "scalogram.csv", comments)
-    if svg:
-        lcwt.scalogram_to_svg(scalogram, out_dir / "scalogram.svg",
-                              comments=comments)
     extraction = lcwt.extract_waves(
         series, max_waves=config["max_waves"],
-        energy_stop=config["energy_stop"], scales=scales)
+        energy_stop=config["energy_stop"],
+        scales=lcwt.default_scales(len(series), config["scales"]))
+    comments = _config_comments(config)
+    lcwt.scalogram_to_csv(extraction.scalogram, out_dir / "scalogram.csv",
+                          comments)
+    if svg:
+        lcwt.scalogram_to_svg(extraction.scalogram, out_dir / "scalogram.svg",
+                              comments=comments)
     trains = lcwt.group_wave_trains(extraction.waves)
     write_json(out_dir / "wave_trains.json", {
         "config": config,
@@ -472,6 +472,10 @@ def run_pipeline(config: PipelineConfig) -> int:
         "adf_data": adf_data.to_dict(),
         "engle_granger": cointegration.to_dict() if cointegration else None,
         "engle_granger_error": validation_error,
+        # reported beside the checks: it does not gate the exit code
+        "fit": {"converged": chain_fit.converged,
+                "iterations": chain_fit.iterations,
+                "degenerate": not np.isfinite(chain_fit.standard_errors).all()},
         "waves_retained": len(extraction.waves),
         "low_confidence": extraction.low_confidence,
         "checks": checks,

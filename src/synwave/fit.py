@@ -1,10 +1,11 @@
 """Least-squares fitting of pulse-chain and logistic-sum models, plus OLS.
 
 The nonlinear fits run a damped least-squares (Levenberg-Marquardt)
-loop with a numerically differentiated Jacobian. Width parameters are
-optimized in log space so they stay positive; amplitudes are free to go
-negative. Initial guesses come from peak detection on a smoothed copy
-of the series.
+loop with a numerically differentiated Jacobian, at most 500 iterations.
+A chain fit always frees the vertical shift and keeps its pulse count
+(no fixed-shift or AIC mode). Width parameters are optimized in log
+space so they stay positive; amplitudes are free to go negative.
+Initial guesses come from peak detection on a smoothed copy of the series.
 """
 from __future__ import annotations
 
@@ -316,13 +317,14 @@ def _numeric_jacobian(residual_fn, params: np.ndarray) -> np.ndarray:
     return jac
 
 
-def levenberg_marquardt(residual_fn, p0, max_iterations: int = _MAX_ITERATIONS):
+def levenberg_marquardt(residual_fn, p0):
     """Damped least squares minimizing sum(residual_fn(p)^2).
 
     The damping factor starts at 1e-3, shrinks 10x after an accepted
     step and grows 10x after a rejected one. Converged when the relative
     SSE drop of an accepted step falls below 1e-10 or the gradient
-    max-norm falls below 1e-8. Returns best-so-far on stall.
+    max-norm falls below 1e-8. Returns best-so-far on stall or after
+    500 iterations.
     """
     params = np.asarray(p0, dtype=float).copy()
     residual = residual_fn(params)
@@ -333,7 +335,7 @@ def levenberg_marquardt(residual_fn, p0, max_iterations: int = _MAX_ITERATIONS):
     history = [sse]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         jac = _numeric_jacobian(residual_fn, params)
         grad = jac.T @ residual
         if float(np.abs(2.0 * grad).max()) < _GRAD_TOL:
@@ -370,32 +372,25 @@ def levenberg_marquardt(residual_fn, p0, max_iterations: int = _MAX_ITERATIONS):
     return params, residual, sse, iterations, converged, history
 
 
-def _chain_pack(model: SolitonChainModel, fix_beta: bool) -> np.ndarray:
-    flat = [] if fix_beta else [model.beta]
+def _chain_pack(model: SolitonChainModel) -> np.ndarray:
+    flat = [model.beta]
     for comp in model.components:
         flat.extend([comp.amplitude, np.log(comp.k), comp.center])
     return np.asarray(flat, dtype=float)
 
 
-def _chain_unpack(params: np.ndarray, fix_beta: bool,
-                  beta_fixed: float) -> SolitonChainModel:
-    if fix_beta:
-        beta = beta_fixed
-        body = params
-    else:
-        beta = float(params[0])
-        body = params[1:]
+def _chain_unpack(params: np.ndarray) -> SolitonChainModel:
     components = []
-    for i in range(0, body.size, 3):
-        amplitude = float(body[i])
+    for i in range(1, params.size, 3):
+        amplitude = float(params[i])
         components.append(SolitonComponent(
             amplitude=amplitude if amplitude != 0.0 else 1e-300,
             # clamp keeps exp finite when a degenerate fit runs the
             # log-width out of range
-            k=float(np.exp(np.clip(body[i + 1], -50.0, 50.0))),
-            center=float(body[i + 2]),
+            k=float(np.exp(np.clip(params[i + 1], -50.0, 50.0))),
+            center=float(params[i + 2]),
         ))
-    return SolitonChainModel(beta=beta, components=tuple(components))
+    return SolitonChainModel(beta=float(params[0]), components=tuple(components))
 
 
 def _standard_errors(residual_fn, params: np.ndarray, sse: float) -> np.ndarray:
@@ -425,31 +420,14 @@ def _standard_errors(residual_fn, params: np.ndarray, sse: float) -> np.ndarray:
 
 
 def fit_soliton_chain(series: TimeSeries, n: int | None = None,
-                      init: SolitonChainModel | None = None,
-                      fix_beta: bool = False,
-                      select_by_aic: bool = False,
-                      max_iterations: int = _MAX_ITERATIONS) -> FitResult:
+                      init: SolitonChainModel | None = None) -> FitResult:
     """Fit beta + sum of A_i sech^2(k_i (t - c_i)) to the series.
 
-    Widths are optimized as log(k). Components in the result are ordered
+    Starts from ``init``, else from the peak-detection guess for ``n``
+    pulses. Widths are optimized as log(k). Components in the result are ordered
     by center, with standard errors permuted to match; a width's error
-    is mapped back from log space as k * se(log k). With
-    ``select_by_aic`` the count ``n`` becomes an upper bound and the fit
-    with the lowest SSE-based information criterion wins.
+    is mapped back from log space as k * se(log k).
     """
-    if select_by_aic:
-        if n is None:
-            raise ValueError("AIC selection needs a maximum component count")
-        best = None
-        for count in range(1, n + 1):
-            candidate = fit_soliton_chain(series, count, fix_beta=fix_beta,
-                                          max_iterations=max_iterations)
-            m = len(series)
-            p = (0 if fix_beta else 1) + 3 * count
-            aic = m * np.log(max(candidate.sse, 1e-300) / m) + 2 * p
-            if best is None or aic < best[0]:
-                best = (aic, candidate)
-        return best[1]
     if init is None:
         if n is None:
             raise ValueError("give a component count or an initial model")
@@ -458,48 +436,23 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
     if len(series) <= 3 * n + 1:
         raise ValueError(f"series too short to fit {n} components")
 
-    times = series.times
-    values = series.values
-    beta_fixed = init.beta
-
     def residual_fn(params):
-        model = _chain_unpack(params, fix_beta, beta_fixed)
-        return chain_eval(model, times) - values
+        return chain_eval(_chain_unpack(params), series.times) - series.values
 
-    p0 = _chain_pack(init, fix_beta)
     params, _, sse, iterations, converged, history = levenberg_marquardt(
-        residual_fn, p0, max_iterations)
+        residual_fn, _chain_pack(init))
     errors = _standard_errors(residual_fn, params, sse)
-
-    # map log-width errors back to width errors, then order by center
-    offset = 0 if fix_beta else 1
-    beta = beta_fixed if fix_beta else float(params[0])
-    raw = []
-    for i in range(n):
-        base = offset + 3 * i
-        amplitude = float(params[base])
-        k = float(np.exp(np.clip(params[base + 1], -50.0, 50.0)))
-        center = float(params[base + 2])
-        err = (errors[base], k * errors[base + 1], errors[base + 2])
-        raw.append(((amplitude, k, center), err))
-    raw.sort(key=lambda item: item[0][2])
-    components = tuple(
-        SolitonComponent(
-            amplitude=a if a != 0.0 else 1e-300,
-            k=k,
-            center=c,
-        )
-        for (a, k, c), _ in raw
-    )
-    err_flat = [] if fix_beta else [float(errors[0])]
-    for _, err in raw:
-        err_flat.extend(err)
+    model = _chain_unpack(params)
+    # the model sorts its components by center; the error rows follow
+    order = np.argsort(params[3::3], kind="stable")
+    body = errors[1:].reshape(n, 3)[order]
+    body[:, 1] *= [c.k for c in model.components]
     return FitResult(
-        model=SolitonChainModel(beta=beta, components=components),
+        model=model,
         sse=sse,
         iterations=iterations,
         converged=converged,
-        standard_errors=np.asarray(err_flat),
+        standard_errors=np.concatenate([errors[:1], body.ravel()]),
         sse_history=tuple(history),
     )
 
@@ -522,8 +475,7 @@ def logistic_to_soliton(comp: LogisticComponent) -> SolitonComponent:
     )
 
 
-def fit_logistic_sum(cumulative: TimeSeries, n: int,
-                     max_iterations: int = _MAX_ITERATIONS) -> LogisticSumFit:
+def fit_logistic_sum(cumulative: TimeSeries, n: int) -> LogisticSumFit:
     """Fit baseline + sum of logistic steps to cumulative data.
 
     The series is differenced, decomposed into pulses, and the mapped
@@ -537,8 +489,7 @@ def fit_logistic_sum(cumulative: TimeSeries, n: int,
     dt = cumulative.dt
 
     derivative = np.gradient(values, dt)
-    chain = fit_soliton_chain(TimeSeries(times, derivative), n,
-                              max_iterations=max_iterations)
+    chain = fit_soliton_chain(TimeSeries(times, derivative), n)
     steps = [soliton_to_logistic(c) for c in chain.model.components]
 
     def eval_sum(components, baseline):
@@ -568,7 +519,7 @@ def fit_logistic_sum(cumulative: TimeSeries, n: int,
     for comp in steps:
         p0.extend([comp.x_sat, np.log(comp.s), comp.t0])
     params, _, sse, iterations, converged, _ = levenberg_marquardt(
-        residual_fn, np.asarray(p0), max_iterations)
+        residual_fn, np.asarray(p0))
     comps, baseline = unpack(params)
     comps.sort(key=lambda c: c.t0)
     return LogisticSumFit(

@@ -15,10 +15,12 @@ computed over a log-spaced scale grid with reflection padding at the
 boundaries. ``extract_waves`` repeats a locate / fit / subtract loop:
 each pass ranks the scalogram's local |W| maxima outside the boundary
 fringe, seeds a pulse at each of the strongest well-separated cells and
-keeps the best joint refit. The resulting sech^2 pulse estimates form
-sign-homogeneous groups (wave trains) that carry a linear peak trend, and
-``redundancy_split`` turns the two trains into nonnegative opposing
-series whose difference reconstructs the extracted signal content.
+keeps the best joint refit. A seed's k is kappa / scale, where kappa is
+one embedded constant per wavelet order that the tests re-derive. The
+resulting sech^2 pulse estimates form sign-homogeneous groups (wave
+trains) that carry a linear peak trend, and ``redundancy_split`` turns
+the two trains into nonnegative opposing series whose difference
+reconstructs the extracted signal content.
 """
 from __future__ import annotations
 
@@ -43,7 +45,8 @@ DEFAULT_SNR = 5.0
 SUPPORT_PER_SCALE = 10.0
 KERNEL_RADIUS_PER_SCALE = 15.0
 
-_KAPPA_CACHE: dict[int, float] = {}
+# k * peak scale of a sech^2 pulse, per order; see wavelet_scale_constant
+_KAPPA = {2: 0.9733038570965178, 3: 1.4298034825734625}
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,13 @@ class WaveTrain:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Waves retained by the extraction loop plus the leftover series."""
+    """Retained waves, the leftover series and the input's scalogram."""
 
     waves: tuple[WaveEstimate, ...]
     residual: TimeSeries
     energy_history: tuple[float, ...]
     low_confidence: bool
+    scalogram: Scalogram
 
 
 @dataclass(frozen=True)
@@ -185,24 +189,15 @@ def cwt(series: TimeSeries, scales=None, order: int = DEFAULT_WAVELET_ORDER) -> 
 
 
 def wavelet_scale_constant(order: int = DEFAULT_WAVELET_ORDER) -> float:
-    """Calibration constant kappa with k = kappa / a_peak for sech^2 pulses.
+    """Constant kappa with k = kappa / a_peak for sech^2 pulses.
 
-    Found once per wavelet order by locating the scalogram peak of a
-    synthetic unit pulse on a dense scale grid; cached afterwards.
+    The peak scale of a k = 0.05 unit pulse at the middle of 1601
+    samples, on a 512-scale log grid over [2, 120], times 0.05. The
+    values are embedded; the tests re-derive them from that scalogram.
     """
-    if order in _KAPPA_CACHE:
-        return _KAPPA_CACHE[order]
-    k_ref = 0.05
-    n = 1601
-    times = np.arange(n, dtype=float)
-    center = (n - 1) / 2.0
-    pulse = soliton_eval(SolitonComponent(1.0, k_ref, center), times)
-    scales = np.geomspace(2.0, 120.0, 512)
-    scalogram = cwt(TimeSeries(times, pulse), scales, order)
-    peak_scale, _, _ = _candidate_cells(scalogram, 1, min_edge_scales=0.0)[0]
-    kappa = k_ref * peak_scale
-    _KAPPA_CACHE[order] = kappa
-    return kappa
+    if order not in _KAPPA:
+        raise ValueError(f"unsupported wavelet order {order} (use 2 or 3)")
+    return _KAPPA[order]
 
 
 def _centered_energy(values: np.ndarray) -> float:
@@ -245,9 +240,6 @@ def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5,
     local = magnitude > 0.0
     local[:, 1:] &= magnitude[:, 1:] >= magnitude[:, :-1]
     local[:, :-1] &= magnitude[:, :-1] >= magnitude[:, 1:]
-    # drop the full-size copy before ranking: on the 512-scale kappa
-    # calibration it would otherwise set the process's peak memory
-    del magnitude
     b = s.translations
     step = b[1] - b[0] if b.size > 1 else 1.0
     if min_edge_scales > 0.0:
@@ -327,7 +319,9 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
 
     Each pass transforms the current residual, seeds candidates at the
     strongest scalogram maxima, and keeps whichever joint refit of the
-    retained pulses explains the most energy. The loop stops when the rms of
+    retained pulses explains the most energy. The first pass's transform,
+    that of the series itself, is computed even when no pass runs and is
+    returned as ``scalogram``. The loop stops when the rms of
     the centered residual falls below ``energy_stop`` of the original
     rms, when ``max_waves`` are retained, or when the next candidate
     fails the retention gate (peak below ``snr`` noise levels, or no
@@ -339,9 +333,8 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
         raise ValueError("max_waves must be at least 1")
     if not 0.0 < energy_stop < 1.0:
         raise ValueError("energy_stop must lie in (0, 1)")
-    if scales is None:
-        scales = default_scales(len(series))
-    scales = np.asarray(scales, dtype=float)
+    first = cwt(series, scales, order)
+    scales = first.scales
 
     residual = series.values.copy()
     original_energy = _centered_energy(residual)
@@ -353,7 +346,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
             if np.sqrt(history[-1] / original_energy) < energy_stop:
                 break
             current = TimeSeries(series.times, residual)
-            scalogram = cwt(current, scales, order)
+            scalogram = first if not waves else cwt(current, scales, order)
             cells = _candidate_cells(scalogram, count=3)
             noise = _diff_noise_sigma(residual)
             seeds = []
@@ -389,6 +382,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
         residual=TimeSeries(series.times, residual),
         energy_history=tuple(history),
         low_confidence=explained < 0.5,
+        scalogram=first,
     )
 
 

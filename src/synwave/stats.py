@@ -252,7 +252,7 @@ def simulate_adf_rejection_rate(process: str, reps: int, n: int,
     """
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {_LEVELS}")
-    order = {"1%": 0, "5%": 1, "10%": 2}[level]
+    order = _LEVELS.index(level)
     rejections = 0
     for rep in range(reps):
         rng = np.random.default_rng(seed + rep)
@@ -270,7 +270,7 @@ def simulate_adf_rejection_rate(process: str, reps: int, n: int,
             raise ValueError(f"unknown process {process!r}")
         result = adf_test(TimeSeries(np.arange(n, dtype=float), y),
                           lags=lags, kind=kind)
-        if result.reject_at is not None:
-            if {"1%": 0, "5%": 1, "10%": 2}[result.reject_at] <= order:
-                rejections += 1
+        if (result.reject_at is not None
+                and _LEVELS.index(result.reject_at) <= order):
+            rejections += 1
     return rejections / reps

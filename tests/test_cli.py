@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from synwave import cli, synth
+from synwave import cli, lcwt, synth
 
 
 def write_pair_csv(path, seed=26, n=250):
@@ -169,6 +169,23 @@ class TestSubcommands:
         payload = json.loads((tmp_path / "out" / "wave_trains.json").read_text())
         assert len(payload["waves"]) == 3
 
+    def test_cwt_scalogram_csv_is_the_series_transform(self, tmp_path):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", 3, data)
+        out = tmp_path / "out"
+        rc = cli.main(["cwt", "--input", str(data), "--scales", "40",
+                       "--out-dir", str(out)])
+        assert rc == 0
+        series = cli.ingest_timeseries(data)
+        config = {"input": str(data), "scales": 40,
+                  "max_waves": lcwt.DEFAULT_MAX_WAVES,
+                  "energy_stop": lcwt.DEFAULT_ENERGY_STOP, "seed": 0}
+        expected = tmp_path / "expected.csv"
+        lcwt.scalogram_to_csv(
+            lcwt.cwt(series, lcwt.default_scales(len(series), 40)), expected,
+            cli._config_comments(config))
+        assert (out / "scalogram.csv").read_bytes() == expected.read_bytes()
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
         rc = cli.main(["synth", "--kind", "noise", "--seed", "7"])
@@ -193,7 +210,24 @@ class TestPipeline:
         assert validation["waves_retained"] == 3
         fit_report = json.loads((out / "fit_report.json").read_text())
         assert abs(fit_report["beta"] - 310.75) < 5.0
+        assert validation["fit"] == {"converged": True, "degenerate": False,
+                                     "iterations": fit_report["iterations"]}
         assert fit_report["regression"]["r2"] > 0.94
+
+    def test_degenerate_fit_is_reported(self, tmp_path):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", 16, data)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--input", str(data), "--seed", "16",
+                       "--out-dir", str(out)])
+        validation = json.loads((out / "validation.json").read_text())
+        fit_report = json.loads((out / "fit_report.json").read_text())
+        assert "inf" in fit_report["standard_errors"]
+        assert validation["fit"] == {"converged": True, "degenerate": True,
+                                     "iterations": fit_report["iterations"]}
+        # the fit block does not gate the exit code
+        assert "fit" not in validation["checks"]
+        assert validation["passed"] and rc == 0
 
     def test_white_noise_fails_validation(self, tmp_path):
         data = tmp_path / "noise.csv"

@@ -148,18 +148,33 @@ class TestFitSolitonChain:
             fit.TimeSeries(series.times, series.values + 7.4 * eps), 3)
         assert high.sse >= low.sse
 
-    def test_fix_beta_option(self):
-        init = models.SolitonChainModel(
-            310.75, synth.corn_like_model().components)
-        result = fit.fit_soliton_chain(clean_chain_series(), init=init,
-                                       fix_beta=True)
-        assert result.model.beta == 310.75
-        assert result.sse < 1e-10
+    def test_errors_follow_components_when_centers_cross(self):
+        # seeded on the wrong sides, the two pulses pass each other during
+        # the fit (the one seeded at 98 ends at 30); the result is sorted
+        # by center and the standard errors must follow the same order
+        times = np.arange(120.0)
+        truth = models.SolitonChainModel(5.0, (
+            models.SolitonComponent(100.0, 0.3, 30.0),
+            models.SolitonComponent(40.0, 0.05, 80.0)))
+        noise = np.random.default_rng(0).standard_normal(times.size)
+        series = fit.TimeSeries(times, models.chain_eval(truth, times) + noise)
+        init = models.SolitonChainModel(5.0, (
+            models.SolitonComponent(40.0, 0.3, 66.0),
+            models.SolitonComponent(100.0, 0.05, 98.0)))
+        result = fit.fit_soliton_chain(series, init=init)
+        assert result.converged
+        for comp, true in zip(result.model.components, truth.components):
+            assert comp.center == pytest.approx(true.center, abs=0.5)
+            assert comp.amplitude == pytest.approx(true.amplitude, rel=0.05)
 
-    def test_aic_selection_finds_component_count(self):
-        result = fit.fit_soliton_chain(synth.corn_like_series(33), 5,
-                                       select_by_aic=True)
-        assert len(result.model.components) == 3
+        def residual_fn(params):
+            model = fit._chain_unpack(params)
+            return models.chain_eval(model, times) - series.values
+
+        expected = fit._standard_errors(
+            residual_fn, fit._chain_pack(result.model), result.sse)
+        expected[2::3] *= [c.k for c in result.model.components]
+        np.testing.assert_allclose(result.standard_errors, expected, rtol=1e-6)
 
 
 class TestParameterMaps:

@@ -134,6 +134,21 @@ class TestCwt:
             lcwt.cwt(pulse_series(n=64, center=32.0), np.array([0.0, 1.0]))
 
 
+class TestWaveletScaleConstant:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_embedded_constant_is_rederived_exactly(self, order):
+        k_ref = 0.05
+        series = pulse_series(k=k_ref, center=800.0, n=1601)
+        scalogram = lcwt.cwt(series, np.geomspace(2.0, 120.0, 512), order)
+        peak_scale = peak_cell(scalogram)[0]
+        assert lcwt._KAPPA[order] == k_ref * peak_scale
+        assert lcwt.wavelet_scale_constant(order) == lcwt._KAPPA[order]
+
+    def test_unsupported_order_rejected(self):
+        with pytest.raises(ValueError):
+            lcwt.wavelet_scale_constant(4)
+
+
 class TestPeakCell:
     def test_exact_tie_prefers_earlier_translation(self):
         coeffs = np.zeros((2, 10))
@@ -248,6 +263,26 @@ class TestExtractWaves:
             assert ws.center == pytest.approx(c * wb.center, rel=1e-5)
             assert ws.k == pytest.approx(wb.k / c, rel=1e-5)
             assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-5)
+
+    def test_scalogram_is_the_first_pass_transform(self):
+        series = synth.corn_like_series(33)
+        scales = lcwt.default_scales(len(series), 40)
+        result = lcwt.extract_waves(series, scales=scales)
+        expected = lcwt.cwt(series, scales)
+        assert np.array_equal(result.scalogram.coefficients,
+                              expected.coefficients)
+        assert np.array_equal(result.scalogram.scales, scales)
+
+    def test_constant_series_still_has_a_scalogram(self):
+        series = fit.TimeSeries(np.arange(50.0), np.full(50, 2.5))
+        result = lcwt.extract_waves(series)
+        assert result.waves == ()
+        assert result.scalogram.coefficients.shape == (
+            lcwt.DEFAULT_NUM_SCALES, 50)
+
+    def test_one_sample_series_rejected(self):
+        with pytest.raises(ValueError):
+            lcwt.extract_waves(fit.TimeSeries(np.zeros(1), np.ones(1)))
 
     def test_invalid_bounds_rejected(self):
         series = pulse_series(n=256, center=128.0)
