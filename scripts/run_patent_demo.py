@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Logistic decomposition demo on cumulative patent-like data.
 
-Fits a staircase of logistic steps to the seeded cumulative series and
-shows each step next to its derivative pulse under the parameter map
-(x_sat = 2A/k, s = 2k, t0 = c).
+Fits a staircase of logistic steps to the seeded cumulative series, as
+the running integral of a pulse chain, and shows each fitted pulse next
+to its step under the parameter map (x_sat = 2A/k, s = 2k, t0 = c).
 """
 import argparse
 
@@ -18,11 +18,11 @@ def main() -> int:
 
     series = synth.patent_like_series(args.seed)
     result = fit.fit_logistic_sum(series, args.steps)
-    print(f"baseline {result.baseline:.4g}, sse {result.sse:.4g}, "
-          f"converged {result.converged}")
+    print(f"baseline {result.model.beta:.4g}, sse {result.sse:.4g}, "
+          f"converged {result.converged}, degenerate {result.degenerate}")
     print(f"{'x_sat':>10} {'s':>8} {'t0':>8}   {'pulse A':>10} {'k':>8} {'center':>8}")
-    for comp in result.components:
-        pulse = fit.logistic_to_soliton(comp)
+    for pulse in result.model.components:
+        comp = fit.soliton_to_logistic(pulse)
         print(f"{comp.x_sat:10.3f} {comp.s:8.4f} {comp.t0:8.3f}   "
               f"{pulse.amplitude:10.3f} {pulse.k:8.4f} {pulse.center:8.3f}")
     return 0

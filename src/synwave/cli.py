@@ -160,13 +160,16 @@ def ingest_timeseries(path, value_column: str | None = None,
             raise ValueError(f"column {name!r} not in header {header}")
         return header.index(name)
 
+    def cell_at(i, idx):
+        if idx >= len(rows[i]):
+            raise ValueError(f"row {i + 1} has no column {idx}")
+        return rows[i][idx]
+
     v_idx = column_index(value_column, len(header) - 1)
     values = np.empty(len(rows))
     missing = []
-    for i, row in enumerate(rows):
-        if v_idx >= len(row):
-            raise ValueError(f"row {i + 1} has no column {v_idx}")
-        cell = row[v_idx]
+    for i in range(len(rows)):
+        cell = cell_at(i, v_idx)
         if cell == "" or cell.lower() == "nan":
             values[i] = np.nan
             missing.append(i)
@@ -191,8 +194,9 @@ def ingest_timeseries(path, value_column: str | None = None,
         times = np.arange(len(rows), dtype=float)
     else:
         t_idx = column_index(time_column, None)
+        cells = [cell_at(i, t_idx) for i in range(len(rows))]
         try:
-            times = np.array([float(r[t_idx]) for r in rows])
+            times = np.array([float(cell) for cell in cells])
         except ValueError as exc:
             raise ValueError("non-numeric time cell") from exc
     return TimeSeries(times, values)
@@ -475,7 +479,7 @@ def run_pipeline(config: PipelineConfig) -> int:
         # reported beside the checks: it does not gate the exit code
         "fit": {"converged": chain_fit.converged,
                 "iterations": chain_fit.iterations,
-                "degenerate": not np.isfinite(chain_fit.standard_errors).all()},
+                "degenerate": chain_fit.degenerate},
         "waves_retained": len(extraction.waves),
         "low_confidence": extraction.low_confidence,
         "checks": checks,

@@ -1,11 +1,11 @@
-"""Least-squares fitting of pulse-chain and logistic-sum models, plus OLS.
+"""Least-squares fitting of pulse chains and their staircases, plus OLS.
 
-The nonlinear fits run a damped least-squares (Levenberg-Marquardt)
-loop with a numerically differentiated Jacobian, at most 500 iterations.
-A chain fit always frees the vertical shift and keeps its pulse count
-(no fixed-shift or AIC mode). Width parameters are optimized in log
-space so they stay positive; amplitudes are free to go negative.
-Initial guesses come from peak detection on a smoothed copy of the series.
+One model in one parameterisation, (beta, then A, log k, c per pulse),
+fits differential data as a sech^2 chain and cumulative data as its
+running integral, a staircase of steps x_sat = 2A/k, s = 2k, t0 = c.
+One damped least-squares loop (Levenberg-Marquardt, numeric Jacobian,
+at most 500 iterations) fits both and gives standard errors. The shift
+is free and the pulse count fixed; smoothed peaks seed the fit.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .models import (
     SolitonChainModel,
     SolitonComponent,
     chain_eval,
-    logistic_eval,
+    cumulative_chain_eval,
 )
 
 # half-maximum half-width w of sech^2(k t) satisfies k w = ln(1 + sqrt(2))
@@ -29,6 +29,8 @@ _DAMPING_MAX = 1e12
 _REL_SSE_TOL = 1e-10
 _GRAD_TOL = 1e-8
 _MAX_ITERATIONS = 500
+# stands in for a fitted amplitude of exactly 0, which a pulse may not have
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class RegressionResult:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a nonlinear chain fit.
+    """Outcome of a nonlinear chain fit, of pulses or of their staircase.
 
     ``standard_errors`` line up with the flat parameter vector
     (beta, then A, k, center per component, in center order).
@@ -107,25 +109,10 @@ class FitResult:
     standard_errors: np.ndarray
     sse_history: tuple[float, ...]
 
-
-@dataclass(frozen=True)
-class ChainInit:
-    """Initial chain guess; ``fallback`` marks equally spaced centers
-    substituted for peaks that could not be detected."""
-
-    model: SolitonChainModel
-    fallback: bool
-
-
-@dataclass(frozen=True)
-class LogisticSumFit:
-    """Fitted sum of logistic steps over a flat baseline."""
-
-    components: tuple[LogisticComponent, ...]
-    baseline: float
-    sse: float
-    iterations: int
-    converged: bool
+    @property
+    def degenerate(self) -> bool:
+        """Whether any standard error is not finite."""
+        return not np.isfinite(self.standard_errors).all()
 
 
 def ols(x, y) -> RegressionResult:
@@ -238,14 +225,14 @@ def _half_max_width(values: np.ndarray, peak: int, left_bound: int,
     return float(np.mean(widths))
 
 
-def initialize_components(series: TimeSeries, n: int) -> ChainInit:
+def initialize_components(series: TimeSeries, n: int) -> SolitonChainModel:
     """Peak-detection starting guess for an n-pulse chain.
 
     The vertical shift starts at the series minimum; centers sit on the
     n largest well-separated maxima of the smoothed, shift-removed
     values, amplitudes on the peak heights, and widths follow from the
-    half-maximum width. Falls back to equal spacing (flagged) when fewer
-    than n peaks are found.
+    half-maximum width. Equally spaced pulses make up the count when
+    fewer than n peaks are found.
     """
     if n < 1:
         raise ValueError("component count must be at least 1")
@@ -266,7 +253,6 @@ def initialize_components(series: TimeSeries, n: int) -> ChainInit:
             chosen.append(i)
         if len(chosen) == n:
             break
-    fallback = len(chosen) < n
     components = []
     ordered = sorted(chosen)
     for i in chosen:
@@ -282,7 +268,7 @@ def initialize_components(series: TimeSeries, n: int) -> ChainInit:
             k=_HALF_MAX_CONST / width,
             center=float(times[i]),
         ))
-    if fallback:
+    if len(chosen) < n:
         span = times[-1] - times[0]
         amplitude = float(values.max() - beta)
         amplitude = amplitude if amplitude != 0.0 else 1e-12
@@ -299,8 +285,7 @@ def initialize_components(series: TimeSeries, n: int) -> ChainInit:
                 k=_HALF_MAX_CONST / width,
                 center=float(center),
             ))
-    model = SolitonChainModel(beta=beta, components=tuple(components))
-    return ChainInit(model=model, fallback=fallback)
+    return SolitonChainModel(beta=beta, components=tuple(components))
 
 
 def _numeric_jacobian(residual_fn, params: np.ndarray) -> np.ndarray:
@@ -384,7 +369,7 @@ def _chain_unpack(params: np.ndarray) -> SolitonChainModel:
     for i in range(1, params.size, 3):
         amplitude = float(params[i])
         components.append(SolitonComponent(
-            amplitude=amplitude if amplitude != 0.0 else 1e-300,
+            amplitude=amplitude if amplitude != 0.0 else _TINY,
             # clamp keeps exp finite when a degenerate fit runs the
             # log-width out of range
             k=float(np.exp(np.clip(params[i + 1], -50.0, 50.0))),
@@ -412,32 +397,24 @@ def _standard_errors(residual_fn, params: np.ndarray, sse: float) -> np.ndarray:
     for j in range(params.size):
         weights = v[j] ** 2
         total = float(weights.sum())
-        if not keep.any() or float(weights[~keep].sum()) > 1e-12 * max(total, 1e-300):
+        if not keep.any() or float(weights[~keep].sum()) > 1e-12 * total:
             errors[j] = np.inf
         else:
             errors[j] = np.sqrt(sigma2 * float((weights[keep] / w[keep]).sum()))
     return errors
 
 
-def fit_soliton_chain(series: TimeSeries, n: int | None = None,
-                      init: SolitonChainModel | None = None) -> FitResult:
-    """Fit beta + sum of A_i sech^2(k_i (t - c_i)) to the series.
+def _fit_chain(series: TimeSeries, init: SolitonChainModel,
+               evaluate) -> FitResult:
+    """Fit ``evaluate(model, times)`` to the series, starting from ``init``.
 
-    Starts from ``init``, else from the peak-detection guess for ``n``
-    pulses. Widths are optimized as log(k). Components in the result are ordered
-    by center, with standard errors permuted to match; a width's error
-    is mapped back from log space as k * se(log k).
+    Components come out in center order and their error rows with them;
+    a width's error is mapped back from log space as k * se(log k).
     """
-    if init is None:
-        if n is None:
-            raise ValueError("give a component count or an initial model")
-        init = initialize_components(series, n).model
     n = len(init.components)
-    if len(series) <= 3 * n + 1:
-        raise ValueError(f"series too short to fit {n} components")
 
     def residual_fn(params):
-        return chain_eval(_chain_unpack(params), series.times) - series.values
+        return evaluate(_chain_unpack(params), series.times) - series.values
 
     params, _, sse, iterations, converged, history = levenberg_marquardt(
         residual_fn, _chain_pack(init))
@@ -447,14 +424,25 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
     order = np.argsort(params[3::3], kind="stable")
     body = errors[1:].reshape(n, 3)[order]
     body[:, 1] *= [c.k for c in model.components]
-    return FitResult(
-        model=model,
-        sse=sse,
-        iterations=iterations,
-        converged=converged,
-        standard_errors=np.concatenate([errors[:1], body.ravel()]),
-        sse_history=tuple(history),
-    )
+    errors = np.concatenate([errors[:1], body.ravel()])
+    return FitResult(model, sse, iterations, converged, errors, tuple(history))
+
+
+def fit_soliton_chain(series: TimeSeries, n: int | None = None,
+                      init: SolitonChainModel | None = None) -> FitResult:
+    """Fit beta + sum of A_i sech^2(k_i (t - c_i)) to the series.
+
+    Starts from ``init``, else from the peak-detection guess for ``n``
+    pulses. Widths are optimized as log(k).
+    """
+    if init is None:
+        if n is None:
+            raise ValueError("give a component count or an initial model")
+        init = initialize_components(series, n)
+    n = len(init.components)
+    if len(series) <= 3 * n + 1:
+        raise ValueError(f"series too short to fit {n} components")
+    return _fit_chain(series, init, chain_eval)
 
 
 def soliton_to_logistic(comp: SolitonComponent) -> LogisticComponent:
@@ -475,57 +463,25 @@ def logistic_to_soliton(comp: LogisticComponent) -> SolitonComponent:
     )
 
 
-def fit_logistic_sum(cumulative: TimeSeries, n: int) -> LogisticSumFit:
-    """Fit baseline + sum of logistic steps to cumulative data.
+def fit_logistic_sum(cumulative: TimeSeries, n: int) -> FitResult:
+    """Fit baseline + a staircase of n logistic steps to cumulative data.
 
-    The series is differenced, decomposed into pulses, and the mapped
-    logistic parameters (x_sat = 2A/k, s = 2k, t0 = c) are then refined
-    directly against the cumulative values with the same optimizer.
+    The staircase is fitted as the running integral of a pulse chain:
+    the differenced series is fitted with ``fit_soliton_chain``, and
+    that chain, over the mean offset, is then refined against the
+    cumulative values through ``beta + cumulative_chain_eval``. The
+    result is in chain form: ``model.beta`` is the baseline, and
+    ``soliton_to_logistic`` maps each pulse to its step (x_sat = 2A/k,
+    s = 2k, t0 = c).
     """
-    if len(cumulative) <= 3 * n + 1:
-        raise ValueError(f"series too short to fit {n} steps")
     times = cumulative.times
-    values = cumulative.values
-    dt = cumulative.dt
+    derivative = np.gradient(cumulative.values, cumulative.dt)
+    chain = fit_soliton_chain(TimeSeries(times, derivative), n).model
+    baseline0 = float(np.mean(
+        cumulative.values - cumulative_chain_eval(chain, times)))
 
-    derivative = np.gradient(values, dt)
-    chain = fit_soliton_chain(TimeSeries(times, derivative), n)
-    steps = [soliton_to_logistic(c) for c in chain.model.components]
+    def evaluate(model, t):
+        return model.beta + cumulative_chain_eval(model, t)
 
-    def eval_sum(components, baseline):
-        out = np.full(times.shape, baseline, dtype=float)
-        for comp in components:
-            out += logistic_eval(comp, times)
-        return out
-
-    baseline0 = float(np.mean(values - eval_sum(steps, 0.0)))
-
-    def unpack(params):
-        comps = []
-        for i in range(n):
-            base = 1 + 3 * i
-            comps.append(LogisticComponent(
-                x_sat=max(float(params[base]), 1e-300),
-                s=float(np.exp(params[base + 1])),
-                t0=float(params[base + 2]),
-            ))
-        return comps, float(params[0])
-
-    def residual_fn(params):
-        comps, baseline = unpack(params)
-        return eval_sum(comps, baseline) - values
-
-    p0 = [baseline0]
-    for comp in steps:
-        p0.extend([comp.x_sat, np.log(comp.s), comp.t0])
-    params, _, sse, iterations, converged, _ = levenberg_marquardt(
-        residual_fn, np.asarray(p0))
-    comps, baseline = unpack(params)
-    comps.sort(key=lambda c: c.t0)
-    return LogisticSumFit(
-        components=tuple(comps),
-        baseline=baseline,
-        sse=sse,
-        iterations=iterations,
-        converged=converged,
-    )
+    return _fit_chain(cumulative,
+                      SolitonChainModel(baseline0, chain.components), evaluate)

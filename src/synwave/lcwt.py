@@ -37,7 +37,7 @@ DEFAULT_MAX_WAVES = 10
 DEFAULT_ENERGY_STOP = 0.05
 # retention gate for candidate waves, in units of the differenced
 # residual's robust noise level
-DEFAULT_SNR = 5.0
+_SNR = 5.0
 
 # nominal wavelet support is SUPPORT_PER_SCALE * a samples wide; kernels
 # are truncated at KERNEL_RADIUS_PER_SCALE * a where the tails are below
@@ -288,8 +288,8 @@ def _joint_refit(series: TimeSeries, waves: list[WaveEstimate],
     return refit, result.model.beta
 
 
-def _seed_estimate(cell: tuple[float, float, float], series: TimeSeries,
-                   order: int) -> WaveEstimate:
+def _seed_estimate(cell: tuple[float, float, float],
+                   series: TimeSeries) -> WaveEstimate:
     """Map one scalogram cell to a raw pulse estimate.
 
     k comes from the scale calibration, the center from the translation,
@@ -297,7 +297,7 @@ def _seed_estimate(cell: tuple[float, float, float], series: TimeSeries,
     """
     scale, translation, peak = cell
     # the scale is in samples, k is per time unit
-    k0 = wavelet_scale_constant(order) / (scale * series.dt)
+    k0 = wavelet_scale_constant() / (scale * series.dt)
     template = soliton_eval(SolitonComponent(1.0, k0, translation), series.times)
     design = np.column_stack([template, np.ones(len(series))])
     (a0, _), *_ = np.linalg.lstsq(design, series.values, rcond=None)
@@ -313,8 +313,7 @@ def _seed_estimate(cell: tuple[float, float, float], series: TimeSeries,
 
 def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                   energy_stop: float = DEFAULT_ENERGY_STOP,
-                  scales=None, order: int = DEFAULT_WAVELET_ORDER,
-                  snr: float = DEFAULT_SNR) -> ExtractionResult:
+                  scales=None) -> ExtractionResult:
     """Iteratively locate, fit, and subtract the strongest pulse.
 
     Each pass transforms the current residual, seeds candidates at the
@@ -324,7 +323,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     returned as ``scalogram``. The loop stops when the rms of
     the centered residual falls below ``energy_stop`` of the original
     rms, when ``max_waves`` are retained, or when the next candidate
-    fails the retention gate (peak below ``snr`` noise levels, or no
+    fails the retention gate (peak below 5 noise levels, or no
     energy reduction). ``energy_history`` records centered sums of
     squares, which are asserted non-increasing; ``low_confidence``
     flags runs that left more than half of that energy unexplained.
@@ -333,7 +332,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
         raise ValueError("max_waves must be at least 1")
     if not 0.0 < energy_stop < 1.0:
         raise ValueError("energy_stop must lie in (0, 1)")
-    first = cwt(series, scales, order)
+    first = cwt(series, scales)
     scales = first.scales
 
     residual = series.values.copy()
@@ -346,13 +345,13 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
             if np.sqrt(history[-1] / original_energy) < energy_stop:
                 break
             current = TimeSeries(series.times, residual)
-            scalogram = first if not waves else cwt(current, scales, order)
+            scalogram = first if not waves else cwt(current, scales)
             cells = _candidate_cells(scalogram, count=3)
             noise = _diff_noise_sigma(residual)
             seeds = []
             for cell in cells:
-                seed = _seed_estimate(cell, current, order)
-                if noise > 0.0 and abs(seed.amplitude) < snr * noise:
+                seed = _seed_estimate(cell, current)
+                if noise > 0.0 and abs(seed.amplitude) < _SNR * noise:
                     continue
                 seeds.append(seed)
             if not seeds:

@@ -68,6 +68,14 @@ class TestIngest:
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
 
+    def test_row_without_time_cell_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("v,t\n1,0\n2,1\n3\n4,3\n")
+        rc = cli.main(["adf", "--input", str(path), "--value-column", "v",
+                       "--time-column", "t", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "row 3 has no column 1" in capsys.readouterr().err
+
     def test_quoted_categorical_cell_keeps_its_comma(self, tmp_path):
         path = tmp_path / "cat.csv"
         path.write_text('# levels\nx,y\n"lo, x",mid\nhi, "a,b"\n')
