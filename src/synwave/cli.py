@@ -65,7 +65,7 @@ def _fmt(value) -> str:
 
 
 def _sanitize(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats stringified."""
+    """JSON-safe copy: numpy scalars unwrapped, non-finite floats as null."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -75,7 +75,7 @@ def _sanitize(obj):
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+        return None
     return obj
 
 

@@ -3,9 +3,9 @@
 One model in one parameterisation, (beta, then A, log k, c per pulse),
 fits differential data as a sech^2 chain and cumulative data as its
 running integral, a staircase of steps x_sat = 2A/k, s = 2k, t0 = c.
-One damped least-squares loop (Levenberg-Marquardt, numeric Jacobian,
-at most 500 iterations) fits both and gives standard errors. The shift
-is free and the pulse count fixed; smoothed peaks seed the fit.
+One damped least-squares loop (Levenberg-Marquardt, closed-form
+Jacobian, at most 500 iterations) fits both and gives standard errors.
+The shift is free and the pulse count fixed; smoothed peaks seed the fit.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .models import (
     LogisticComponent,
     SolitonChainModel,
     SolitonComponent,
+    _sech_squared,
     chain_eval,
     cumulative_chain_eval,
 )
@@ -31,6 +32,9 @@ _GRAD_TOL = 1e-8
 _MAX_ITERATIONS = 500
 # stands in for a fitted amplitude of exactly 0, which a pulse may not have
 _TINY = float(np.finfo(float).tiny)
+# log k is clipped to this range, which keeps exp(log k) finite when a
+# degenerate fit runs the log-width out of range
+_LOG_K_CLIP = 50.0
 
 
 @dataclass(frozen=True)
@@ -288,23 +292,11 @@ def initialize_components(series: TimeSeries, n: int) -> SolitonChainModel:
     return SolitonChainModel(beta=beta, components=tuple(components))
 
 
-def _numeric_jacobian(residual_fn, params: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, step 1e-6 relative to each parameter."""
-    m = residual_fn(params).size
-    jac = np.empty((m, params.size))
-    for j in range(params.size):
-        h = 1e-6 * max(abs(params[j]), 1.0)
-        up = params.copy()
-        up[j] += h
-        down = params.copy()
-        down[j] -= h
-        jac[:, j] = (residual_fn(up) - residual_fn(down)) / (2.0 * h)
-    return jac
-
-
-def levenberg_marquardt(residual_fn, p0):
+def levenberg_marquardt(residual_fn, p0, jacobian_fn):
     """Damped least squares minimizing sum(residual_fn(p)^2).
 
+    ``jacobian_fn(p)`` is the residual's Jacobian at p, one row per
+    residual and one column per parameter, taken once per iteration.
     The damping factor starts at 1e-3, shrinks 10x after an accepted
     step and grows 10x after a rejected one. Converged when the relative
     SSE drop of an accepted step falls below 1e-10 or the gradient
@@ -321,7 +313,7 @@ def levenberg_marquardt(residual_fn, p0):
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        jac = _numeric_jacobian(residual_fn, params)
+        jac = jacobian_fn(params)
         grad = jac.T @ residual
         if float(np.abs(2.0 * grad).max()) < _GRAD_TOL:
             converged = True
@@ -370,31 +362,64 @@ def _chain_unpack(params: np.ndarray) -> SolitonChainModel:
         amplitude = float(params[i])
         components.append(SolitonComponent(
             amplitude=amplitude if amplitude != 0.0 else _TINY,
-            # clamp keeps exp finite when a degenerate fit runs the
-            # log-width out of range
-            k=float(np.exp(np.clip(params[i + 1], -50.0, 50.0))),
+            k=float(np.exp(np.clip(params[i + 1], -_LOG_K_CLIP, _LOG_K_CLIP))),
             center=float(params[i + 2]),
         ))
     return SolitonChainModel(beta=float(params[0]), components=tuple(components))
 
 
-def _standard_errors(residual_fn, params: np.ndarray, sse: float) -> np.ndarray:
-    """Asymptotic per-parameter errors from the Jacobian at the solution.
+def _pulse_partials(a, k, z, s, th):
+    """d/dA, d/dlog k, d/dc of the pulse A sech^2(z), z = k (t - c)."""
+    return s, -2.0 * a * s * th * z, 2.0 * a * k * s * th
+
+
+def _step_partials(a, k, z, s, th):
+    """d/dA, d/dlog k, d/dc of the step (A/k)(1 + tanh z) it integrates to."""
+    rise = 1.0 + th
+    return rise / k, (a / k) * (s * z - rise), -a * s
+
+
+def _chain_jacobian(params: np.ndarray, times: np.ndarray,
+                    partials) -> np.ndarray:
+    """Closed-form Jacobian of a chain form's residual at flat ``params``.
+
+    ``partials`` gives one form's per-pulse columns, one row per pulse.
+    The columns follow ``_chain_unpack``: an amplitude of exactly 0 is
+    read as _TINY, log k has no effect outside its clip, and sech^2 is
+    exactly 0 beyond the model's tail cutoff.
+    """
+    a = params[1::3, None]
+    a = np.where(a == 0.0, _TINY, a)
+    log_k = params[2::3, None]
+    k = np.exp(np.clip(log_k, -_LOG_K_CLIP, _LOG_K_CLIP))
+    z = k * (times - params[3::3, None])
+    d_a, d_log_k, d_c = partials(a, k, z, _sech_squared(z), np.tanh(z))
+    jac = np.empty((times.size, params.size))
+    jac[:, 0] = 1.0
+    jac[:, 1::3] = d_a.T
+    jac[:, 2::3] = np.where(np.abs(log_k) > _LOG_K_CLIP, 0.0, d_log_k).T
+    jac[:, 3::3] = d_c.T
+    return jac
+
+
+def _standard_errors(jac: np.ndarray, sse: float) -> np.ndarray:
+    """Asymptotic per-parameter errors from the residual's Jacobian at the
+    solution, one column per parameter.
 
     Parameters lying along a numerically singular direction of J'J get
     an infinite error; that is how degenerate fits (for example a pulse
     whose amplitude collapsed to zero) are flagged.
     """
-    jac = _numeric_jacobian(residual_fn, params)
-    dof = jac.shape[0] - params.size
+    m, p = jac.shape
+    dof = m - p
     if dof <= 0:
-        return np.full(params.size, np.inf)
+        return np.full(p, np.inf)
     sigma2 = sse / dof
     w, v = np.linalg.eigh(jac.T @ jac)
     w_max = float(w.max()) if w.size else 0.0
     keep = w > w_max * 1e-12 if w_max > 0.0 else np.zeros_like(w, dtype=bool)
-    errors = np.empty(params.size)
-    for j in range(params.size):
+    errors = np.empty(p)
+    for j in range(p):
         weights = v[j] ** 2
         total = float(weights.sum())
         if not keep.any() or float(weights[~keep].sum()) > 1e-12 * total:
@@ -405,20 +430,25 @@ def _standard_errors(residual_fn, params: np.ndarray, sse: float) -> np.ndarray:
 
 
 def _fit_chain(series: TimeSeries, init: SolitonChainModel,
-               evaluate) -> FitResult:
+               evaluate, partials) -> FitResult:
     """Fit ``evaluate(model, times)`` to the series, starting from ``init``.
 
-    Components come out in center order and their error rows with them;
-    a width's error is mapped back from log space as k * se(log k).
+    ``partials`` are the form's per-pulse derivatives (``_pulse_partials``
+    for ``chain_eval``, ``_step_partials`` for the staircase). Components
+    come out in center order and their error rows with them; a width's
+    error is mapped back from log space as k * se(log k).
     """
     n = len(init.components)
 
     def residual_fn(params):
         return evaluate(_chain_unpack(params), series.times) - series.values
 
+    def jacobian_fn(params):
+        return _chain_jacobian(params, series.times, partials)
+
     params, _, sse, iterations, converged, history = levenberg_marquardt(
-        residual_fn, _chain_pack(init))
-    errors = _standard_errors(residual_fn, params, sse)
+        residual_fn, _chain_pack(init), jacobian_fn)
+    errors = _standard_errors(jacobian_fn(params), sse)
     model = _chain_unpack(params)
     # the model sorts its components by center; the error rows follow
     order = np.argsort(params[3::3], kind="stable")
@@ -442,7 +472,7 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
     n = len(init.components)
     if len(series) <= 3 * n + 1:
         raise ValueError(f"series too short to fit {n} components")
-    return _fit_chain(series, init, chain_eval)
+    return _fit_chain(series, init, chain_eval, _pulse_partials)
 
 
 def soliton_to_logistic(comp: SolitonComponent) -> LogisticComponent:
@@ -484,4 +514,5 @@ def fit_logistic_sum(cumulative: TimeSeries, n: int) -> FitResult:
         return model.beta + cumulative_chain_eval(model, t)
 
     return _fit_chain(cumulative,
-                      SolitonChainModel(baseline0, chain.components), evaluate)
+                      SolitonChainModel(baseline0, chain.components), evaluate,
+                      _step_partials)

@@ -38,6 +38,10 @@ DEFAULT_ENERGY_STOP = 0.05
 # retention gate for candidate waves, in units of the differenced
 # residual's robust noise level
 _SNR = 5.0
+# a later-ranked candidate must undercut the best refit's energy by more
+# than this fraction; seeds that converge to the same refit tie within
+# round-off, and the stronger |W| seed keeps the wave then
+_ENERGY_TIE = 1e-9
 
 # nominal wavelet support is SUPPORT_PER_SCALE * a samples wide; kernels
 # are truncated at KERNEL_RADIUS_PER_SCALE * a where the tails are below
@@ -318,9 +322,10 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
 
     Each pass transforms the current residual, seeds candidates at the
     strongest scalogram maxima, and keeps whichever joint refit of the
-    retained pulses explains the most energy. The first pass's transform,
-    that of the series itself, is computed even when no pass runs and is
-    returned as ``scalogram``. The loop stops when the rms of
+    retained pulses explains the most energy; a weaker-|W| seed displaces
+    a stronger one only by more than 1e-9 of the energy. The first pass's
+    transform, that of the series itself, is computed even when no pass
+    runs and is returned as ``scalogram``. The loop stops when the rms of
     the centered residual falls below ``energy_stop`` of the original
     rms, when ``max_waves`` are retained, or when the next candidate
     fails the retention gate (peak below 5 noise levels, or no
@@ -368,7 +373,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                 energy = _centered_energy(series.values - reconstruction)
                 if energy > history[-1]:
                     continue
-                if best is None or energy < best[0]:
+                if best is None or energy < best[0] * (1.0 - _ENERGY_TIE):
                     best = (energy, refit, beta_new, reconstruction)
             if best is None:
                 break

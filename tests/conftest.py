@@ -38,6 +38,27 @@ def oracle_mutual_information(table: ProbabilityTable, subset) -> float:
     return total
 
 
+def central_difference_jacobian(residual_fn, params: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian, step 1e-6 relative to each parameter.
+
+    ``difference_steps(params)`` gives the steps, so a check can allow
+    for the round-off of a difference quotient.
+    """
+    steps = difference_steps(params)
+    columns = []
+    for j, h in enumerate(steps):
+        up = params.copy()
+        up[j] += h
+        down = params.copy()
+        down[j] -= h
+        columns.append((residual_fn(up) - residual_fn(down)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def difference_steps(params: np.ndarray) -> np.ndarray:
+    return 1e-6 * np.maximum(np.abs(params), 1.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

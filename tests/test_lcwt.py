@@ -264,6 +264,21 @@ class TestExtractWaves:
             assert ws.k == pytest.approx(wb.k / c, rel=1e-5)
             assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-5)
 
+    def test_round_off_ties_keep_the_stronger_seed(self):
+        # on these seeds two candidates of one pass converge to the same
+        # refit; which one reports the wave must not hang on the last bits
+        for seed in (3, 6, 17, 37):
+            series = synth.corn_like_series(seed)
+            nudged = fit.TimeSeries(series.times,
+                                    series.values * (1.0 + 1e-12))
+            base = lcwt.extract_waves(series).waves
+            other = lcwt.extract_waves(nudged).waves
+            assert len(other) == len(base), seed
+            for wb, wo in zip(base, other):
+                assert wo.scalogram_peak[:2] == wb.scalogram_peak[:2], seed
+                assert wo.scalogram_peak[2] == pytest.approx(
+                    wb.scalogram_peak[2], rel=1e-9)
+
     def test_scalogram_is_the_first_pass_transform(self):
         series = synth.corn_like_series(33)
         scales = lcwt.default_scales(len(series), 40)
