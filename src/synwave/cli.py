@@ -6,8 +6,10 @@ for numeric series, ``pipeline`` for the whole chain, and ``synth`` for
 seeded generators. Exit codes: 0 success, 1 input or configuration
 error, 2 pipeline completed but failed validation.
 
-Every artifact embeds the exact configuration (including the seed), so
-re-running an identical command reproduces byte-identical files.
+Every artifact records the parsed command line (the subcommand and every
+option, the seed included) without the output directory, so re-running
+an identical command reproduces byte-identical files wherever they are
+written.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,27 +35,9 @@ EXIT_INPUT_ERROR = 1
 EXIT_VALIDATION_FAILED = 2
 
 
-@dataclass
-class PipelineConfig:
-    """Everything a pipeline run depends on, recorded into every output."""
-
-    input_path: str
-    out_dir: str
-    components: int = 3
-    scales: int = lcwt.DEFAULT_NUM_SCALES
-    max_waves: int = lcwt.DEFAULT_MAX_WAVES
-    energy_stop: float = lcwt.DEFAULT_ENERGY_STOP
-    lags: str = "auto"
-    kind: str = "constant"
-    seed: int = 0
-    fill: bool = False
-    svg: bool = False
-    value_column: str | None = None
-    time_column: str | None = None
-    positive_role: str = "historical"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+# size of the decomposition plot, in SVG user units
+_PLOT_WIDTH = 720
+_PLOT_HEIGHT = 360
 
 
 def _fmt(value) -> str:
@@ -85,8 +68,7 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_line_plot(path, times, curves, width: int = 720,
-                    height: int = 360, comments=()) -> None:
+def write_line_plot(path, times, curves, comments=()) -> None:
     """Static SVG polylines; ``curves`` maps label -> (values, color)."""
     times = np.asarray(times, dtype=float)
     all_values = np.concatenate([np.asarray(v) for v, _ in curves.values()])
@@ -97,16 +79,17 @@ def write_line_plot(path, times, curves, width: int = 720,
     t_span = t1 - t0 if t1 > t0 else 1.0
 
     def sx(t):
-        return 40.0 + (t - t0) / t_span * (width - 60.0)
+        return 40.0 + (t - t0) / t_span * (_PLOT_WIDTH - 60.0)
 
     def sy(v):
-        return height - 30.0 - (v - lo) / (hi - lo) * (height - 50.0)
+        return (_PLOT_HEIGHT - 30.0
+                - (v - lo) / (hi - lo) * (_PLOT_HEIGHT - 50.0))
 
     parts = [f"<!-- {line} -->" for line in comments]
     parts.extend([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_WIDTH}" '
+        f'height="{_PLOT_HEIGHT}" viewBox="0 0 {_PLOT_WIDTH} {_PLOT_HEIGHT}">',
+        f'<rect width="{_PLOT_WIDTH}" height="{_PLOT_HEIGHT}" fill="white"/>',
     ])
     for label_index, (label, (values, color)) in enumerate(sorted(curves.items())):
         pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}"
@@ -118,6 +101,13 @@ def write_line_plot(path, times, curves, width: int = 720,
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def _config(args: argparse.Namespace) -> dict:
+    """What every artifact records: the parsed command line without the
+    handler and the output directory."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("handler", "out_dir")}
 
 
 def _config_comments(config: dict) -> list[str]:
@@ -202,6 +192,12 @@ def ingest_timeseries(path, value_column: str | None = None,
     return TimeSeries(times, values)
 
 
+def _read_series(args) -> TimeSeries:
+    """The series named by the ``--input`` and series-column options."""
+    return ingest_timeseries(args.input, args.value_column, args.time_column,
+                             args.fill)
+
+
 def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tuple]]:
     """Load categorical observations, one tuple per row."""
     header, rows = _read_csv_rows(path)
@@ -251,11 +247,7 @@ def _cmd_entropy(args) -> int:
     reports = [infotheory.information_report(table, s).to_dict()
                for s in subsets]
     out_dir = _resolve_out_dir(args.out_dir)
-    payload = {
-        "config": {"input": str(args.input), "subset": list(variables),
-                   "seed": args.seed},
-        "reports": reports,
-    }
+    payload = {"config": _config(args), "reports": reports}
     path = out_dir / "entropy_report.json"
     write_json(path, payload)
     for report in reports:
@@ -274,10 +266,8 @@ def _cmd_synergy(args) -> int:
         rows, variables, subset, args.window, args.stride)
     out_dir = _resolve_out_dir(args.out_dir)
     path = out_dir / "synergy.csv"
-    config = {"input": str(args.input), "subset": list(subset),
-              "window": args.window, "stride": args.stride, "seed": args.seed}
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _config_comments(config):
+        for line in _config_comments(_config(args)):
             fh.write(f"# {line}\n")
         fh.write("window_start,redundancy_bits\n")
         for start, value in zip(series.window_starts.tolist(),
@@ -320,12 +310,9 @@ def _fit_payload(result: FitResult, regression: RegressionResult,
 
 
 def _cmd_fit(args) -> int:
-    series = ingest_timeseries(args.input, args.value_column,
-                               args.time_column, args.fill)
-    config = {"input": str(args.input), "components": args.components,
-              "seed": args.seed}
+    series = _read_series(args)
     result, _, regression = _fit_chain(series, args.components)
-    payload = _fit_payload(result, regression, config)
+    payload = _fit_payload(result, regression, _config(args))
     out_dir = _resolve_out_dir(args.out_dir)
     path = out_dir / "fit_report.json"
     write_json(path, payload)
@@ -339,21 +326,18 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cwt_stage(series: TimeSeries, config: dict, out_dir: Path, svg: bool
+def _cwt_stage(series: TimeSeries, args, out_dir: Path
                ) -> tuple[lcwt.ExtractionResult, list[lcwt.WaveTrain]]:
-    """Scalogram, wave extraction and wave trains, written to ``out_dir``.
-
-    ``config`` supplies the ``scales`` count, ``max_waves`` and
-    ``energy_stop``, and is recorded in every file.
-    """
+    """Scalogram, wave extraction and wave trains, written to ``out_dir``
+    as the cwt options of ``args`` ask."""
     extraction = lcwt.extract_waves(
-        series, max_waves=config["max_waves"],
-        energy_stop=config["energy_stop"],
-        scales=lcwt.default_scales(len(series), config["scales"]))
+        series, max_waves=args.max_waves, energy_stop=args.energy_stop,
+        scales=lcwt.default_scales(len(series), args.scales))
+    config = _config(args)
     comments = _config_comments(config)
     lcwt.scalogram_to_csv(extraction.scalogram, out_dir / "scalogram.csv",
                           comments)
-    if svg:
+    if args.svg:
         lcwt.scalogram_to_svg(extraction.scalogram, out_dir / "scalogram.svg",
                               comments=comments)
     trains = lcwt.group_wave_trains(extraction.waves)
@@ -368,13 +352,9 @@ def _cwt_stage(series: TimeSeries, config: dict, out_dir: Path, svg: bool
 
 
 def _cmd_cwt(args) -> int:
-    series = ingest_timeseries(args.input, args.value_column,
-                               args.time_column, args.fill)
-    config = {"input": str(args.input), "scales": args.scales,
-              "max_waves": args.max_waves, "energy_stop": args.energy_stop,
-              "seed": args.seed}
+    series = _read_series(args)
     out_dir = _resolve_out_dir(args.out_dir)
-    extraction, _ = _cwt_stage(series, config, out_dir, args.svg)
+    extraction, _ = _cwt_stage(series, args, out_dir)
     print(f"{len(extraction.waves)} waves retained, "
           f"low_confidence={extraction.low_confidence}")
     print(f"wrote {out_dir / 'scalogram.csv'} and "
@@ -383,13 +363,10 @@ def _cmd_cwt(args) -> int:
 
 
 def _cmd_adf(args) -> int:
-    series = ingest_timeseries(args.input, args.value_column,
-                               args.time_column, args.fill)
+    series = _read_series(args)
     result = stats.adf_test(series, _lags(args.lags), args.kind)
     out_dir = _resolve_out_dir(args.out_dir)
-    payload = {"config": {"input": str(args.input), "lags": args.lags,
-                          "kind": args.kind, "seed": args.seed}}
-    payload.update(result.to_dict())
+    payload = {"config": _config(args), **result.to_dict()}
     path = out_dir / "adf.json"
     write_json(path, payload)
     print(f"statistic={_fmt(result.statistic)} lags={result.lags_used} "
@@ -405,9 +382,7 @@ def _cmd_coint(args) -> int:
                           args.fill)
     result = stats.engle_granger(y, x)
     out_dir = _resolve_out_dir(args.out_dir)
-    payload = {"config": {"input": str(args.input), "y": args.y_column,
-                          "x": args.x_column, "seed": args.seed}}
-    payload.update(result.to_dict())
+    payload = {"config": _config(args), **result.to_dict()}
     path = out_dir / "cointegration.json"
     write_json(path, payload)
     print(f"cointegrated_at={result.cointegrated_at} "
@@ -416,36 +391,32 @@ def _cmd_coint(args) -> int:
     return EXIT_OK
 
 
-def run_pipeline(config: PipelineConfig) -> int:
+def run_pipeline(args) -> int:
     """Fit, transform, extract, split, and validate one series end to end."""
-    series = ingest_timeseries(config.input_path, config.value_column,
-                               config.time_column, config.fill)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    conf = config.to_dict()
+    series = _read_series(args)
+    out_dir = _resolve_out_dir(args.out_dir)
+    config = _config(args)
 
     # stage 1: pulse-chain fit and its regression diagnostics
-    chain_fit, predictions, regression = _fit_chain(series,
-                                                    config.components)
+    chain_fit, predictions, regression = _fit_chain(series, args.components)
     write_json(out_dir / "fit_report.json",
-               _fit_payload(chain_fit, regression, conf))
+               _fit_payload(chain_fit, regression, config))
     write_json(out_dir / "regression_report.json",
-               {"config": conf, **regression.to_dict()})
+               {"config": config, **regression.to_dict()})
 
     # stage 2: scalogram and iterative wave extraction
-    extraction, trains = _cwt_stage(series, conf, out_dir, config.svg)
-    if config.svg:
+    extraction, trains = _cwt_stage(series, args, out_dir)
+    if args.svg:
         write_line_plot(out_dir / "decomposition.svg", series.times, {
             "data": (series.values, "#888888"),
             "fitted chain": (predictions, "#d62728"),
             "extraction residual": (extraction.residual.values, "#1f77b4"),
-        }, comments=_config_comments(conf))
+        }, comments=_config_comments(config))
 
     # stage 3: redundancy decomposition from the sign-grouped trains
-    split = lcwt.redundancy_split(trains, len(series), series.times,
-                                  config.positive_role)
+    split = lcwt.redundancy_split(trains, series.times, args.positive_role)
     with open(out_dir / "redundancy.csv", "w", encoding="utf-8") as fh:
-        for line in _config_comments(conf):
+        for line in _config_comments(config):
             fh.write(f"# {line}\n")
         fh.write(f"# positive_role: {split.positive_role}\n")
         fh.write("t,historical,synergetic,total\n")
@@ -456,7 +427,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             fh.write(f"{t!r},{hist[i]!r},{syn[i]!r},{total[i]!r}\n")
 
     # stage 4: unit-root and cointegration validation of data vs model
-    adf_data = stats.adf_test(series, _lags(config.lags), config.kind)
+    adf_data = stats.adf_test(series, _lags(args.lags), args.kind)
     validation_error = None
     cointegration = None
     try:
@@ -472,7 +443,7 @@ def run_pipeline(config: PipelineConfig) -> int:
     }
     passed = all(checks.values())
     validation = {
-        "config": conf,
+        "config": config,
         "adf_data": adf_data.to_dict(),
         "engle_granger": cointegration.to_dict() if cointegration else None,
         "engle_granger_error": validation_error,
@@ -495,26 +466,6 @@ def run_pipeline(config: PipelineConfig) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION_FAILED
 
 
-def _cmd_pipeline(args) -> int:
-    config = PipelineConfig(
-        input_path=str(args.input),
-        out_dir=str(_resolve_out_dir(args.out_dir)),
-        components=args.components,
-        scales=args.scales,
-        max_waves=args.max_waves,
-        energy_stop=args.energy_stop,
-        lags=args.lags,
-        kind=args.kind,
-        seed=args.seed,
-        fill=args.fill,
-        svg=args.svg,
-        value_column=args.value_column,
-        time_column=args.time_column,
-        positive_role=args.positive_role,
-    )
-    return run_pipeline(config)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synwave",
@@ -534,6 +485,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-column", default=None)
         p.add_argument("--fill", action="store_true",
                        help="linearly interpolate missing values")
+
+    def add_fit(p):
+        p.add_argument("--components", type=int, default=3)
+
+    def add_cwt(p):
+        p.add_argument("--scales", type=int, default=lcwt.DEFAULT_NUM_SCALES)
+        p.add_argument("--max-waves", type=int,
+                       default=lcwt.DEFAULT_MAX_WAVES)
+        p.add_argument("--energy-stop", type=float,
+                       default=lcwt.DEFAULT_ENERGY_STOP)
+        p.add_argument("--svg", action="store_true")
+
+    def add_adf(p):
+        p.add_argument("--lags", default="auto")
+        p.add_argument("--kind", default="constant",
+                       choices=stats.REGRESSION_KINDS)
 
     p = sub.add_parser("synth", help="write a seeded synthetic dataset")
     p.add_argument("--kind", required=True,
@@ -557,25 +524,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="pulse-chain least squares")
     add_common(p)
     add_series_columns(p)
-    p.add_argument("--components", type=int, default=3)
+    add_fit(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("cwt", help="scalogram and wave extraction")
     add_common(p)
     add_series_columns(p)
-    p.add_argument("--scales", type=int, default=lcwt.DEFAULT_NUM_SCALES)
-    p.add_argument("--max-waves", type=int, default=lcwt.DEFAULT_MAX_WAVES)
-    p.add_argument("--energy-stop", type=float,
-                   default=lcwt.DEFAULT_ENERGY_STOP)
-    p.add_argument("--svg", action="store_true")
+    add_cwt(p)
     p.set_defaults(handler=_cmd_cwt)
 
     p = sub.add_parser("adf", help="unit-root test")
     add_common(p)
     add_series_columns(p)
-    p.add_argument("--lags", default="auto")
-    p.add_argument("--kind", default="constant",
-                   choices=stats.REGRESSION_KINDS)
+    add_adf(p)
     p.set_defaults(handler=_cmd_adf)
 
     p = sub.add_parser("coint", help="two-step cointegration test")
@@ -589,18 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full analysis chain")
     add_common(p)
     add_series_columns(p)
-    p.add_argument("--components", type=int, default=3)
-    p.add_argument("--scales", type=int, default=lcwt.DEFAULT_NUM_SCALES)
-    p.add_argument("--max-waves", type=int, default=lcwt.DEFAULT_MAX_WAVES)
-    p.add_argument("--energy-stop", type=float,
-                   default=lcwt.DEFAULT_ENERGY_STOP)
-    p.add_argument("--lags", default="auto")
-    p.add_argument("--kind", default="constant",
-                   choices=stats.REGRESSION_KINDS)
-    p.add_argument("--svg", action="store_true")
+    add_fit(p)
+    add_cwt(p)
+    add_adf(p)
     p.add_argument("--positive-role", default="historical",
                    choices=("historical", "synergetic"))
-    p.set_defaults(handler=_cmd_pipeline)
+    p.set_defaults(handler=run_pipeline)
 
     return parser
 

@@ -52,6 +52,9 @@ KERNEL_RADIUS_PER_SCALE = 15.0
 # k * peak scale of a sech^2 pulse, per order; see wavelet_scale_constant
 _KAPPA = {2: 0.9733038570965178, 3: 1.4298034825734625}
 
+# side of one scalogram cell in the SVG heatmap, in SVG user units
+_SVG_CELL = 4
+
 
 @dataclass(frozen=True)
 class Scalogram:
@@ -412,22 +415,19 @@ def group_wave_trains(waves) -> list[WaveTrain]:
     return trains
 
 
-def redundancy_split(trains, series_length: int, times=None,
-                     positive_role: str = "historical") -> RedundancyDecomposition:
+def redundancy_split(trains, times, positive_role: str = "historical"
+                     ) -> RedundancyDecomposition:
     """Split the wave trains into opposing nonnegative series.
 
-    The positive-amplitude reconstruction and the magnitude of the
-    negative-amplitude reconstruction become the historical and
+    The positive-amplitude reconstruction at ``times`` and the magnitude
+    of the negative-amplitude reconstruction become the historical and
     synergetic parts; ``positive_role`` picks which is which (the sign
     convention differs between readings, so it stays configurable).
     The total is always historical - synergetic.
     """
     if positive_role not in ("historical", "synergetic"):
         raise ValueError("positive_role must be 'historical' or 'synergetic'")
-    if times is None:
-        times = np.arange(series_length, dtype=float)
-    else:
-        times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float)
     positive = np.zeros(times.shape)
     negative = np.zeros(times.shape)
     for train in trains:
@@ -472,8 +472,9 @@ def _heat_color(z: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def scalogram_to_svg(s: Scalogram, path, cell: int = 4, comments=()) -> None:
+def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
     """Static heatmap of the coefficients, rows = scales (largest on top)."""
+    cell = _SVG_CELL
     n_scales, n_trans = s.coefficients.shape
     peak = float(np.abs(s.coefficients).max())
     norm = peak if peak > 0 else 1.0

@@ -15,6 +15,15 @@ def write_pair_csv(path, seed=26, n=250):
     return path
 
 
+def write_two_series_csv(path):
+    """Columns ``a`` and ``b``: corn-like seeds 33 and 3 on one time axis."""
+    a, b = synth.corn_like_series(33), synth.corn_like_series(3)
+    lines = ["t,a,b"] + [f"{t!r},{x!r},{y!r}" for t, x, y in zip(
+        a.times.tolist(), a.values.tolist(), b.values.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestIngest:
     def test_corn_csv_has_241_rows(self, tmp_path):
         path = tmp_path / "corn.csv"
@@ -185,9 +194,11 @@ class TestSubcommands:
                        "--out-dir", str(out)])
         assert rc == 0
         series = cli.ingest_timeseries(data)
-        config = {"input": str(data), "scales": 40,
+        config = {"command": "cwt", "input": str(data), "scales": 40,
                   "max_waves": lcwt.DEFAULT_MAX_WAVES,
-                  "energy_stop": lcwt.DEFAULT_ENERGY_STOP, "seed": 0}
+                  "energy_stop": lcwt.DEFAULT_ENERGY_STOP, "svg": False,
+                  "value_column": None, "time_column": None, "fill": False,
+                  "seed": 0}
         expected = tmp_path / "expected.csv"
         lcwt.scalogram_to_csv(
             lcwt.cwt(series, lcwt.default_scales(len(series), 40)), expected,
@@ -252,6 +263,7 @@ class TestPipeline:
                        "--out-dir", str(tmp_path / "run")])
         assert rc == 1
         assert "pipeline:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_usage_error_exits_one(self, capsys):
         rc = cli.main(["pipeline", "--no-such-flag"])
@@ -272,3 +284,42 @@ class TestPipeline:
         assert np.abs(total - (hist - syn)).max() < 1e-9
         assert np.all(hist >= 0.0)
         assert np.all(syn >= 0.0)
+
+
+class TestConfig:
+    """Every artifact records the parsed command line without the handler
+    and the output directory."""
+
+    @pytest.mark.parametrize("command", ["fit", "cwt", "adf", "pipeline"])
+    def test_config_is_the_parsed_command_line(self, tmp_path, command):
+        data = write_two_series_csv(tmp_path / "two.csv")
+        configs = []
+        for column in ("a", "b"):
+            out = tmp_path / column
+            argv = [command, "--input", str(data), "--value-column", column,
+                    "--out-dir", str(out)]
+            assert cli.main(argv) == 0
+            expected = vars(cli.build_parser().parse_args(argv))
+            del expected["handler"], expected["out_dir"]
+            recorded = [json.loads(path.read_text())["config"]
+                        for path in out.glob("*.json")]
+            assert recorded and all(c == expected for c in recorded)
+            comments = [f"# {line}" for line in cli._config_comments(expected)]
+            for path in out.glob("*.csv"):
+                assert path.read_text().splitlines()[:len(comments)] == comments
+            configs.append(recorded[0])
+        assert configs[0] != configs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--svg"], ["fit"], ["cwt", "--svg"], ["adf"],
+        ["coint", "--y-column", "a", "--x-column", "b"],
+    ], ids=lambda argv: argv[0])
+    def test_files_do_not_depend_on_out_dir(self, tmp_path, argv):
+        data = write_two_series_csv(tmp_path / "two.csv")
+        written = []
+        for name in ("one", "two"):
+            out = tmp_path / name
+            assert cli.main([*argv, "--input", str(data),
+                             "--out-dir", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
