@@ -4,6 +4,7 @@
 Fits a staircase of logistic steps to the seeded cumulative series, as
 the running integral of a pulse chain, and shows each fitted pulse next
 to its step under the parameter map (x_sat = 2A/k, s = 2k, t0 = c).
+Exits 1 when the fit did not converge or is degenerate.
 """
 import argparse
 
@@ -20,6 +21,8 @@ def main() -> int:
     result = fit.fit_logistic_sum(series, args.steps)
     print(f"baseline {result.model.beta:.4g}, sse {result.sse:.4g}, "
           f"converged {result.converged}, degenerate {result.degenerate}")
+    if not result.converged or result.degenerate:
+        return 1
     print(f"{'x_sat':>10} {'s':>8} {'t0':>8}   {'pulse A':>10} {'k':>8} {'center':>8}")
     for pulse in result.model.components:
         comp = fit.soliton_to_logistic(pulse)

@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the analysis stages: ``entropy`` and
 ``synergy`` for categorical data, ``fit`` / ``cwt`` / ``adf`` / ``coint``
 for numeric series, ``pipeline`` for the whole chain, and ``synth`` for
 seeded generators. Exit codes: 0 success, 1 input or configuration
-error, 2 pipeline completed but failed validation.
+error or no wave found, 2 pipeline completed but failed validation (a
+low-confidence extraction or no cointegration).
 
 Every artifact records the parsed command line (the subcommand and every
 option, the seed included) without the output directory, so re-running
@@ -284,12 +285,11 @@ def _lags(value: str):
     return "auto" if value == "auto" else int(value)
 
 
-def _fit_chain(series: TimeSeries, n_components: int
-               ) -> tuple[FitResult, np.ndarray, RegressionResult]:
-    """Pulse-chain fit, its predictions, and their regression on the data."""
-    result = fit_soliton_chain(series, n_components)
+def _chain_regression(series: TimeSeries, result: FitResult
+                      ) -> tuple[np.ndarray, RegressionResult]:
+    """A chain fit's predictions and their regression on the data."""
     predictions = models.chain_eval(result.model, series.times)
-    return result, predictions, ols(predictions, series.values)
+    return predictions, ols(predictions, series.values)
 
 
 def _fit_payload(result: FitResult, regression: RegressionResult,
@@ -311,7 +311,8 @@ def _fit_payload(result: FitResult, regression: RegressionResult,
 
 def _cmd_fit(args) -> int:
     series = _read_series(args)
-    result, _, regression = _fit_chain(series, args.components)
+    result = fit_soliton_chain(series, args.components)
+    _, regression = _chain_regression(series, result)
     payload = _fit_payload(result, regression, _config(args))
     out_dir = _resolve_out_dir(args.out_dir)
     path = out_dir / "fit_report.json"
@@ -326,13 +327,16 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cwt_stage(series: TimeSeries, args, out_dir: Path
-               ) -> tuple[lcwt.ExtractionResult, list[lcwt.WaveTrain]]:
-    """Scalogram, wave extraction and wave trains, written to ``out_dir``
-    as the cwt options of ``args`` ask."""
-    extraction = lcwt.extract_waves(
+def _extract(series: TimeSeries, args) -> lcwt.ExtractionResult:
+    """Wave extraction as the cwt options of ``args`` ask."""
+    return lcwt.extract_waves(
         series, max_waves=args.max_waves, energy_stop=args.energy_stop,
         scales=lcwt.default_scales(len(series), args.scales))
+
+
+def _write_cwt(extraction: lcwt.ExtractionResult, args, out_dir: Path
+               ) -> list[lcwt.WaveTrain]:
+    """Write the scalogram and the wave trains to ``out_dir``."""
     config = _config(args)
     comments = _config_comments(config)
     lcwt.scalogram_to_csv(extraction.scalogram, out_dir / "scalogram.csv",
@@ -348,13 +352,14 @@ def _cwt_stage(series: TimeSeries, args, out_dir: Path
         "low_confidence": extraction.low_confidence,
         "energy_history": list(extraction.energy_history),
     })
-    return extraction, trains
+    return trains
 
 
 def _cmd_cwt(args) -> int:
     series = _read_series(args)
     out_dir = _resolve_out_dir(args.out_dir)
-    extraction, _ = _cwt_stage(series, args, out_dir)
+    extraction = _extract(series, args)
+    _write_cwt(extraction, args, out_dir)
     print(f"{len(extraction.waves)} waves retained, "
           f"low_confidence={extraction.low_confidence}")
     print(f"wrote {out_dir / 'scalogram.csv'} and "
@@ -392,20 +397,28 @@ def _cmd_coint(args) -> int:
 
 
 def run_pipeline(args) -> int:
-    """Fit, transform, extract, split, and validate one series end to end."""
+    """Extract, split, and validate one series end to end.
+
+    The pulse chain is the extraction's last joint refit; a series in
+    which no wave is found is an input error and writes nothing.
+    """
     series = _read_series(args)
+
+    # stage 1: scalogram and iterative wave extraction
+    extraction = _extract(series, args)
+    chain_fit = extraction.fit
+    if chain_fit is None:
+        raise ValueError("no wave found")
     out_dir = _resolve_out_dir(args.out_dir)
     config = _config(args)
+    trains = _write_cwt(extraction, args, out_dir)
 
-    # stage 1: pulse-chain fit and its regression diagnostics
-    chain_fit, predictions, regression = _fit_chain(series, args.components)
+    # stage 2: the extracted chain and its regression diagnostics
+    predictions, regression = _chain_regression(series, chain_fit)
     write_json(out_dir / "fit_report.json",
                _fit_payload(chain_fit, regression, config))
     write_json(out_dir / "regression_report.json",
                {"config": config, **regression.to_dict()})
-
-    # stage 2: scalogram and iterative wave extraction
-    extraction, trains = _cwt_stage(series, args, out_dir)
     if args.svg:
         write_line_plot(out_dir / "decomposition.svg", series.times, {
             "data": (series.values, "#888888"),
@@ -418,7 +431,6 @@ def run_pipeline(args) -> int:
     with open(out_dir / "redundancy.csv", "w", encoding="utf-8") as fh:
         for line in _config_comments(config):
             fh.write(f"# {line}\n")
-        fh.write(f"# positive_role: {split.positive_role}\n")
         fh.write("t,historical,synergetic,total\n")
         hist = split.historical.tolist()
         syn = split.synergetic.tolist()
@@ -436,7 +448,6 @@ def run_pipeline(args) -> int:
     except ValueError as exc:
         validation_error = str(exc)
     checks = {
-        "waves_retained": len(extraction.waves) >= 1,
         "extraction_confident": not extraction.low_confidence,
         "cointegrated": (cointegration is not None
                          and cointegration.cointegrated_at is not None),
@@ -486,9 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fill", action="store_true",
                        help="linearly interpolate missing values")
 
-    def add_fit(p):
-        p.add_argument("--components", type=int, default=3)
-
     def add_cwt(p):
         p.add_argument("--scales", type=int, default=lcwt.DEFAULT_NUM_SCALES)
         p.add_argument("--max-waves", type=int,
@@ -524,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="pulse-chain least squares")
     add_common(p)
     add_series_columns(p)
-    add_fit(p)
+    p.add_argument("--components", type=int, default=3)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("cwt", help="scalogram and wave extraction")
@@ -550,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full analysis chain")
     add_common(p)
     add_series_columns(p)
-    add_fit(p)
     add_cwt(p)
     add_adf(p)
     p.add_argument("--positive-role", default="historical",

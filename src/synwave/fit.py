@@ -5,7 +5,10 @@ fits differential data as a sech^2 chain and cumulative data as its
 running integral, a staircase of steps x_sat = 2A/k, s = 2k, t0 = c.
 One damped least-squares loop (Levenberg-Marquardt, closed-form
 Jacobian, at most 500 iterations) fits both and gives standard errors.
-The shift is free and the pulse count fixed; smoothed peaks seed the fit.
+The shift is free and the pulse count fixed. A chain of n pulses is
+the logistic-CWT extraction of n waves (``lcwt.extract_waves``), whose
+last joint refit is the fit; a staircase is seeded at its own level
+crossings.
 """
 from __future__ import annotations
 
@@ -21,9 +24,6 @@ from .models import (
     chain_eval,
     cumulative_chain_eval,
 )
-
-# half-maximum half-width w of sech^2(k t) satisfies k w = ln(1 + sqrt(2))
-_HALF_MAX_CONST = float(np.log(1.0 + np.sqrt(2.0)))
 
 _DAMPING_START = 1e-3
 _DAMPING_MAX = 1e12
@@ -181,117 +181,6 @@ def line_fit(x, y) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    window = max(3, int(window))
-    if window % 2 == 0:
-        window += 1
-    if window >= values.size:
-        window = values.size if values.size % 2 == 1 else values.size - 1
-    if window < 3:
-        return values.copy()
-    pad = window // 2
-    padded = np.pad(values, pad, mode="edge")
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(padded, kernel, mode="valid")
-
-
-def _local_maxima(values: np.ndarray) -> list[int]:
-    idx = []
-    for i in range(1, values.size - 1):
-        if values[i] > values[i - 1] and values[i] >= values[i + 1]:
-            idx.append(i)
-    return idx
-
-
-def _half_max_width(values: np.ndarray, peak: int, left_bound: int,
-                    right_bound: int) -> float:
-    """Distance from the peak to half height, averaged over usable sides.
-
-    Walks stay inside [left_bound, right_bound] so a neighboring pulse
-    cannot poison the estimate. A side that never crosses half height
-    inside its territory is dropped; if both sides are dropped the
-    largest territory distance serves as a lower-bound width.
-    """
-    half = values[peak] / 2.0
-    widths = []
-    j = peak
-    while j + 1 <= right_bound and values[j + 1] >= half:
-        j += 1
-    if j + 1 <= right_bound:
-        widths.append(j + 1 - peak)
-    j = peak
-    while j - 1 >= left_bound and values[j - 1] >= half:
-        j -= 1
-    if j - 1 >= left_bound:
-        widths.append(peak - (j - 1))
-    if not widths:
-        return float(max(right_bound - peak, peak - left_bound, 1))
-    return float(np.mean(widths))
-
-
-def initialize_components(series: TimeSeries, n: int) -> SolitonChainModel:
-    """Peak-detection starting guess for an n-pulse chain.
-
-    The vertical shift starts at the series minimum; centers sit on the
-    n largest well-separated maxima of the smoothed, shift-removed
-    values, amplitudes on the peak heights, and widths follow from the
-    half-maximum width. Equally spaced pulses make up the count when
-    fewer than n peaks are found.
-    """
-    if n < 1:
-        raise ValueError("component count must be at least 1")
-    if len(series) < 8 * n:
-        raise ValueError(f"series too short for {n} components")
-    values = series.values
-    times = series.times
-    dt = series.dt
-    beta = float(values.min())
-    smooth = _moving_average(values - beta, len(series) // 20)
-    candidates = _local_maxima(smooth)
-    # larger amplitude wins; equal amplitudes resolved by earlier time
-    candidates.sort(key=lambda i: (-smooth[i], i))
-    min_sep = max(2, len(series) // (2 * n))
-    chosen: list[int] = []
-    for i in candidates:
-        if all(abs(i - j) >= min_sep for j in chosen):
-            chosen.append(i)
-        if len(chosen) == n:
-            break
-    components = []
-    ordered = sorted(chosen)
-    for i in chosen:
-        pos = ordered.index(i)
-        left_bound = 0 if pos == 0 else (i + ordered[pos - 1]) // 2
-        right_bound = (values.size - 1 if pos == len(ordered) - 1
-                       else (i + ordered[pos + 1]) // 2)
-        # smoothing locates the peak; the raw value prices it
-        amplitude = float(values[i] - beta)
-        width = _half_max_width(smooth, i, left_bound, right_bound) * dt
-        components.append(SolitonComponent(
-            amplitude=amplitude if amplitude != 0.0 else 1e-12,
-            k=_HALF_MAX_CONST / width,
-            center=float(times[i]),
-        ))
-    if len(chosen) < n:
-        span = times[-1] - times[0]
-        amplitude = float(values.max() - beta)
-        amplitude = amplitude if amplitude != 0.0 else 1e-12
-        width = span / (4.0 * n)
-        have = {round(c.center, 9) for c in components}
-        i = 0
-        while len(components) < n:
-            center = times[0] + span * (i + 0.5) / n
-            i += 1
-            if round(float(center), 9) in have:
-                continue
-            components.append(SolitonComponent(
-                amplitude=amplitude / n,
-                k=_HALF_MAX_CONST / width,
-                center=float(center),
-            ))
-    return SolitonChainModel(beta=beta, components=tuple(components))
-
-
 def levenberg_marquardt(residual_fn, p0, jacobian_fn):
     """Damped least squares minimizing sum(residual_fn(p)^2).
 
@@ -439,6 +328,8 @@ def _fit_chain(series: TimeSeries, init: SolitonChainModel,
     error is mapped back from log space as k * se(log k).
     """
     n = len(init.components)
+    if len(series) <= 3 * n + 1:
+        raise ValueError(f"series too short to fit {n} components")
 
     def residual_fn(params):
         return evaluate(_chain_unpack(params), series.times) - series.values
@@ -462,16 +353,20 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
                       init: SolitonChainModel | None = None) -> FitResult:
     """Fit beta + sum of A_i sech^2(k_i (t - c_i)) to the series.
 
-    Starts from ``init``, else from the peak-detection guess for ``n``
-    pulses. Widths are optimized as log(k).
+    Starts from ``init``; else the fit is the last joint refit of the
+    wave extraction with at most ``n`` waves, which must keep all ``n``.
+    Widths are optimized as log(k).
     """
     if init is None:
         if n is None:
             raise ValueError("give a component count or an initial model")
-        init = initialize_components(series, n)
-    n = len(init.components)
-    if len(series) <= 3 * n + 1:
-        raise ValueError(f"series too short to fit {n} components")
+        # imported here because lcwt imports this module
+        from .lcwt import extract_waves
+        result = extract_waves(series, max_waves=n).fit
+        found = 0 if result is None else len(result.model.components)
+        if found < n:
+            raise ValueError(f"extraction found {found} of {n} waves")
+        return result
     return _fit_chain(series, init, chain_eval, _pulse_partials)
 
 
@@ -496,23 +391,30 @@ def logistic_to_soliton(comp: LogisticComponent) -> SolitonComponent:
 def fit_logistic_sum(cumulative: TimeSeries, n: int) -> FitResult:
     """Fit baseline + a staircase of n logistic steps to cumulative data.
 
-    The staircase is fitted as the running integral of a pulse chain:
-    the differenced series is fitted with ``fit_soliton_chain``, and
-    that chain, over the mean offset, is then refined against the
-    cumulative values through ``beta + cumulative_chain_eval``. The
-    result is in chain form: ``model.beta`` is the baseline, and
+    The staircase is fitted as the running integral of a pulse chain,
+    ``beta + cumulative_chain_eval``. Step i is seeded where the series
+    first climbs (i + 1/2)/n of its total rise from the first value: the
+    pulse takes the series slope there, and k makes the step rise / n
+    tall (a step without a rise of the slope's sign starts at k = 1/dt).
+    The result is in chain form: ``model.beta`` is the baseline, and
     ``soliton_to_logistic`` maps each pulse to its step (x_sat = 2A/k,
     s = 2k, t0 = c).
     """
-    times = cumulative.times
-    derivative = np.gradient(cumulative.values, cumulative.dt)
-    chain = fit_soliton_chain(TimeSeries(times, derivative), n).model
-    baseline0 = float(np.mean(
-        cumulative.values - cumulative_chain_eval(chain, times)))
+    if n < 1:
+        raise ValueError("step count must be at least 1")
+    values = cumulative.values
+    rise = float(values[-1] - values[0])
+    slope = np.gradient(values, cumulative.dt)
+    climbed = (values - values[0]) * np.sign(rise)
+    params = [values[0]]
+    for i in range(n):
+        j = int(np.argmax(climbed >= (i + 0.5) / n * abs(rise)))
+        a = float(slope[j])
+        k = 2.0 * a * n / rise if a * rise > 0.0 else 1.0 / cumulative.dt
+        params += [a, np.log(k), cumulative.times[j]]
 
     def evaluate(model, t):
         return model.beta + cumulative_chain_eval(model, t)
 
-    return _fit_chain(cumulative,
-                      SolitonChainModel(baseline0, chain.components), evaluate,
+    return _fit_chain(cumulative, _chain_unpack(np.array(params)), evaluate,
                       _step_partials)

@@ -137,7 +137,6 @@ class RedundancySeries:
 
     window_starts: np.ndarray
     redundancy_bits: np.ndarray
-    window_length: int
 
 
 def _encode_rows(rows, arity: int) -> tuple[np.ndarray, tuple[tuple, ...]]:
@@ -303,5 +302,4 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
     return RedundancySeries(
         window_starts=starts,
         redundancy_bits=np.asarray(values, dtype=float),
-        window_length=window,
     )

@@ -17,7 +17,10 @@ each pass ranks the scalogram's local |W| maxima outside the boundary
 fringe, seeds a pulse at each of the strongest well-separated cells and
 keeps the best joint refit. A seed's k is kappa / scale, where kappa is
 one embedded constant per wavelet order that the tests re-derive. The
-resulting sech^2 pulse estimates form sign-homogeneous groups (wave
+last accepted refit is the chain fit of the series; it is how
+``fit.fit_soliton_chain`` seeds a chain of a given pulse count (matching
+pursuit as the seed of a least-squares fit). The resulting sech^2 pulse
+estimates form sign-homogeneous groups (wave
 trains) that carry a linear peak trend, and ``redundancy_split`` turns
 the two trains into nonnegative opposing series whose difference
 reconstructs the extracted signal content.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import _HALF_MAX_CONST, TimeSeries, fit_soliton_chain, line_fit
+from .fit import FitResult, TimeSeries, fit_soliton_chain, line_fit
 from .models import SolitonChainModel, SolitonComponent, soliton_eval, _sigmoid
 
 DEFAULT_WAVELET_ORDER = 3
@@ -48,6 +51,9 @@ _ENERGY_TIE = 1e-9
 # 1e-8 of the peak
 SUPPORT_PER_SCALE = 10.0
 KERNEL_RADIUS_PER_SCALE = 15.0
+
+# half-maximum half-width w of sech^2(k t) satisfies k w = ln(1 + sqrt(2))
+_HALF_MAX_CONST = float(np.log(1.0 + np.sqrt(2.0)))
 
 # k * peak scale of a sech^2 pulse, per order; see wavelet_scale_constant
 _KAPPA = {2: 0.9733038570965178, 3: 1.4298034825734625}
@@ -119,13 +125,18 @@ class WaveTrain:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Retained waves, the leftover series and the input's scalogram."""
+    """Retained waves, the leftover series and the input's scalogram.
+
+    ``fit`` is the accepted joint refit of the retained waves, a chain
+    fit of the whole series; it is None when no wave is kept.
+    """
 
     waves: tuple[WaveEstimate, ...]
     residual: TimeSeries
     energy_history: tuple[float, ...]
     low_confidence: bool
     scalogram: Scalogram
+    fit: FitResult | None
 
 
 @dataclass(frozen=True)
@@ -270,7 +281,8 @@ def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5,
 
 
 def _joint_refit(series: TimeSeries, waves: list[WaveEstimate],
-                 candidate: WaveEstimate, beta0: float) -> tuple[list[WaveEstimate], float]:
+                 candidate: WaveEstimate, beta0: float
+                 ) -> tuple[list[WaveEstimate], FitResult]:
     """Refit all retained pulses plus the candidate against the series.
 
     Matching-pursuit back-fitting: overlapping pulses settle into their
@@ -292,7 +304,7 @@ def _joint_refit(series: TimeSeries, waves: list[WaveEstimate],
         )
         for seed, comp in zip(pool, result.model.components)
     ]
-    return refit, result.model.beta
+    return refit, result
 
 
 def _seed_estimate(cell: tuple[float, float, float],
@@ -347,6 +359,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     original_energy = _centered_energy(residual)
     history = [original_energy]
     waves: list[WaveEstimate] = []
+    chain_fit = None
     beta_hat = float(series.values.mean())
     if original_energy > 0.0:
         while len(waves) < max_waves:
@@ -366,7 +379,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                 break
             best = None
             for seed in seeds:
-                refit, beta_new = _joint_refit(series, waves, seed, beta_hat)
+                refit, result = _joint_refit(series, waves, seed, beta_hat)
                 if not _refit_sane(refit, series):
                     continue
                 reconstruction = np.zeros(len(series))
@@ -377,10 +390,11 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                 if energy > history[-1]:
                     continue
                 if best is None or energy < best[0] * (1.0 - _ENERGY_TIE):
-                    best = (energy, refit, beta_new, reconstruction)
+                    best = (energy, refit, result, reconstruction)
             if best is None:
                 break
-            next_energy, waves, beta_hat, reconstruction = best
+            next_energy, waves, chain_fit, reconstruction = best
+            beta_hat = chain_fit.model.beta
             residual = series.values - reconstruction
             history.append(next_energy)
     explained = 1.0 - history[-1] / original_energy if original_energy > 0 else 0.0
@@ -390,6 +404,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
         energy_history=tuple(history),
         low_confidence=explained < 0.5,
         scalogram=first,
+        fit=chain_fit,
     )
 
 

@@ -102,16 +102,6 @@ class CointegrationResult:
         }
 
 
-def difference(series: TimeSeries, d: int = 1) -> TimeSeries:
-    """d-th discrete difference; the series shrinks by d samples."""
-    if d < 1:
-        raise ValueError("difference order must be at least 1")
-    if len(series) <= d:
-        raise ValueError(f"series too short for a {d}-th difference")
-    values = np.diff(series.values, n=d)
-    return TimeSeries(series.times[d:], values)
-
-
 def schwert_lags(n: int) -> int:
     """Default lag order floor(12 (n/100)^(1/4))."""
     return int(np.floor(12.0 * (n / 100.0) ** 0.25))

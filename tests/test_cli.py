@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -158,6 +159,15 @@ class TestSubcommands:
                                               "adj_r2", "n"}
         assert payload["regression"]["n"] == 241
 
+    def test_fit_without_enough_waves_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "noise.csv"
+        synth.generate_synthetic("noise", 7, data, n=500)
+        rc = cli.main(["fit", "--input", str(data),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "fit: extraction found 0 of 3 waves" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_adf_json(self, tmp_path):
         path = write_pair_csv(tmp_path / "pair.csv")
         rc = cli.main(["adf", "--input", str(path), "--value-column", "x",
@@ -233,7 +243,16 @@ class TestPipeline:
                                      "iterations": fit_report["iterations"]}
         assert fit_report["regression"]["r2"] > 0.94
 
-    def test_degenerate_fit_is_reported(self, tmp_path):
+    def test_degenerate_fit_is_reported(self, tmp_path, monkeypatch):
+        extract_waves = lcwt.extract_waves
+
+        def degenerate_extraction(*args, **kwargs):
+            extraction = extract_waves(*args, **kwargs)
+            errors = np.full_like(extraction.fit.standard_errors, np.inf)
+            return dataclasses.replace(extraction, fit=dataclasses.replace(
+                extraction.fit, standard_errors=errors))
+
+        monkeypatch.setattr(lcwt, "extract_waves", degenerate_extraction)
         data = tmp_path / "corn.csv"
         synth.generate_synthetic("corn-like", 16, data)
         out = tmp_path / "run"
@@ -241,22 +260,38 @@ class TestPipeline:
                        "--out-dir", str(out)])
         validation = json.loads((out / "validation.json").read_text())
         fit_report = json.loads((out / "fit_report.json").read_text())
-        assert None in fit_report["standard_errors"]
+        assert set(fit_report["standard_errors"]) == {None}
         assert validation["fit"] == {"converged": True, "degenerate": True,
                                      "iterations": fit_report["iterations"]}
         # the fit block does not gate the exit code
         assert "fit" not in validation["checks"]
         assert validation["passed"] and rc == 0
 
-    def test_white_noise_fails_validation(self, tmp_path):
+    def test_white_noise_fails_validation(self, tmp_path, capsys):
+        # no wave in white noise is an input error, never a quiet 0 waves
         data = tmp_path / "noise.csv"
         synth.generate_synthetic("noise", 7, data, n=500)
         rc = cli.main(["pipeline", "--input", str(data), "--seed", "7",
                        "--out-dir", str(tmp_path / "run")])
-        assert rc == 2
-        validation = json.loads((tmp_path / "run" / "validation.json").read_text())
-        assert not validation["passed"]
-        assert validation["waves_retained"] == 0
+        assert rc == 1
+        assert "pipeline: no wave found" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seed", [16, 19])
+    def test_corn_like_chain_centers(self, tmp_path, seed):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", seed, data)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--input", str(data), "--seed", str(seed),
+                       "--out-dir", str(out)])
+        assert rc == 0
+        fit_report = json.loads((out / "fit_report.json").read_text())
+        centers = [c["center"] for c in fit_report["components"]]
+        assert len(centers) == 3
+        for center, (_, _, truth) in zip(centers, synth.CORN_PULSES):
+            assert abs(center - truth) <= 2.0
+        validation = json.loads((out / "validation.json").read_text())
+        assert not validation["fit"]["degenerate"]
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         rc = cli.main(["pipeline", "--input", str(tmp_path / "nope.csv"),
@@ -306,7 +341,8 @@ class TestConfig:
             assert recorded and all(c == expected for c in recorded)
             comments = [f"# {line}" for line in cli._config_comments(expected)]
             for path in out.glob("*.csv"):
-                assert path.read_text().splitlines()[:len(comments)] == comments
+                assert [line for line in path.read_text().splitlines()
+                        if line.startswith("#")] == comments
             configs.append(recorded[0])
         assert configs[0] != configs[1]
 

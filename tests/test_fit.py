@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synwave import fit, models, synth
+from synwave import fit, lcwt, models, synth
 
 from conftest import central_difference_jacobian, difference_steps
 
@@ -76,29 +76,6 @@ class TestOls:
         assert abs(float(r.residuals @ x)) < 1e-8
 
 
-class TestInitializeComponents:
-    def test_demo_chain_centers_located(self):
-        init = fit.initialize_components(clean_chain_series(), 3)
-        centers = sorted(c.center for c in init.components)
-        for center, (_, _, true_center) in zip(centers, TRUE_PARAMS):
-            assert abs(center - true_center) <= 10.0
-
-    def test_monotone_ramp_falls_back(self):
-        # no peak: the one pulse sits at the middle of the span
-        s = fit.TimeSeries(np.arange(32.0), 2.0 * np.arange(32.0))
-        init = fit.initialize_components(s, 1)
-        assert [c.center for c in init.components] == [15.5]
-
-    def test_single_exact_pulse(self):
-        times = np.arange(400.0)
-        comp = models.SolitonComponent(5.0, 0.05, 163.0)
-        s = fit.TimeSeries(times, models.soliton_eval(comp, times))
-        init = fit.initialize_components(s, 1)
-        guess = init.components[0]
-        assert abs(guess.amplitude - 5.0) / 5.0 < 0.05
-        assert abs(guess.center - 163.0) <= 1.0
-
-
 class TestFitSolitonChain:
     def test_noiseless_roundtrip(self):
         result = fit.fit_soliton_chain(clean_chain_series(), 3)
@@ -119,7 +96,9 @@ class TestFitSolitonChain:
 
     def test_constant_series_flags_degeneracy(self):
         s = fit.TimeSeries(np.arange(20.0), np.full(20, 5.0))
-        result = fit.fit_soliton_chain(s, 1)
+        init = models.SolitonChainModel(
+            5.0, (models.SolitonComponent(1.0, 0.5, 10.0),))
+        result = fit.fit_soliton_chain(s, init=init)
         assert abs(result.model.components[0].amplitude) < 1e-6
         assert np.any(np.isinf(result.standard_errors))
 
@@ -179,14 +158,25 @@ class TestFitSolitonChain:
         expected[2::3] *= [c.k for c in result.model.components]
         np.testing.assert_allclose(result.standard_errors, expected, rtol=1e-6)
 
-
     def test_corn_like_centers_recovered(self):
-        # seeds 16, 19 and 22 are the known misses of the peak-detection
-        # seed (ROADMAP item 2): it parks a pulse off a true center there
-        for seed in (s for s in range(40) if s not in (16, 19, 22)):
+        for seed in range(40):
             model = fit.fit_soliton_chain(synth.corn_like_series(seed), 3).model
             for comp, (_, _, center) in zip(model.components, synth.CORN_PULSES):
                 assert abs(comp.center - center) <= 2.0, seed
+
+    def test_count_fit_is_the_extraction_refit(self):
+        series = synth.corn_like_series(33)
+        result = fit.fit_soliton_chain(series, 3)
+        refit = lcwt.extract_waves(series, max_waves=3).fit
+        assert result.model == refit.model
+        assert result.sse == refit.sse
+        assert result.sse_history == refit.sse_history
+        np.testing.assert_array_equal(result.standard_errors,
+                                      refit.standard_errors)
+
+    def test_too_few_waves_rejected(self):
+        with pytest.raises(ValueError, match="found 0 of 3 waves"):
+            fit.fit_soliton_chain(synth.noise_series(7, 500), 3)
 
 
 def staircase_eval(model, times):
@@ -316,15 +306,18 @@ class TestFitLogisticSum:
                                    rtol=1e-9)
 
     def test_patent_like_staircases_fit_exactly(self):
-        # seed 37 parks a cancelling pulse pair; see the degenerate test
-        for seed in (s for s in range(50) if s != 37):
+        for seed in [*range(50), 64, 196, 197]:
             series = synth.patent_like_series(seed)
             result = fit.fit_logistic_sum(series, 3)
             assert result.converged, seed
             assert not result.degenerate, seed
             assert result.sse <= 1e-20 * float(np.sum(series.values ** 2)), seed
 
-    def test_cancelling_pulse_pair_is_degenerate(self):
-        result = fit.fit_logistic_sum(synth.patent_like_series(37), 3)
+    def test_step_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            fit.fit_logistic_sum(synth.patent_like_series(3), 0)
+
+    def test_flat_staircase_is_degenerate(self):
+        flat = fit.TimeSeries(np.arange(42.0), np.full(42, 50.0))
+        result = fit.fit_logistic_sum(flat, 3)
         assert result.degenerate
-        assert not result.converged

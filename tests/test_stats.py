@@ -9,26 +9,6 @@ def series(values):
     return fit.TimeSeries(np.arange(values.size, dtype=float), values)
 
 
-class TestDifference:
-    def test_first_difference(self):
-        d = stats.difference(series([1.0, 3.0, 6.0, 10.0]))
-        assert d.values.tolist() == [2.0, 3.0, 4.0]
-
-    def test_constant_goes_to_zero(self):
-        d = stats.difference(series(np.full(10, 3.3)))
-        assert np.all(d.values == 0.0)
-
-    def test_second_difference_composes(self):
-        s = series(np.random.default_rng(0).standard_normal(50))
-        twice = stats.difference(stats.difference(s))
-        once = stats.difference(s, d=2)
-        assert np.allclose(twice.values, once.values)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            stats.difference(series([1.0]), d=1)
-
-
 class TestAdf:
     def test_driftless_random_walk_keeps_unit_root(self):
         rng = np.random.default_rng(11)
