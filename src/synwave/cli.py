@@ -5,7 +5,9 @@ Subcommands map one-to-one onto the analysis stages: ``entropy`` and
 for numeric series, ``pipeline`` for the whole chain, and ``synth`` for
 seeded generators. Exit codes: 0 success, 1 input or configuration
 error or no wave found, 2 pipeline completed but failed validation (a
-low-confidence extraction or no cointegration).
+low-confidence extraction or no cointegration). Each handler computes
+all of its results before it creates the output directory, so an exit
+1 writes nothing.
 
 Every artifact records the parsed command line (the subcommand and every
 option, the seed included) without the output directory, so re-running
@@ -214,7 +216,7 @@ def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tupl
         idx = list(range(len(header)))
     observations = []
     for i, row in enumerate(rows):
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise ValueError(f"ragged row {i + 1}")
         observations.append(tuple(row[j] for j in idx))
     return tuple(columns), observations
@@ -232,9 +234,10 @@ def _resolve_out_dir(arg_value) -> Path:
 
 
 def _cmd_synth(args) -> int:
+    series, params = synth.synthetic_series(args.kind, args.seed, args.n)
     out_dir = _resolve_out_dir(args.out_dir)
     path = out_dir / f"{args.kind.replace('-', '_')}_{args.seed}.csv"
-    synth.generate_synthetic(args.kind, args.seed, path, args.n)
+    synth.write_series_csv(path, series, params)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -334,8 +337,8 @@ def _extract(series: TimeSeries, args) -> lcwt.ExtractionResult:
         scales=lcwt.default_scales(len(series), args.scales))
 
 
-def _write_cwt(extraction: lcwt.ExtractionResult, args, out_dir: Path
-               ) -> list[lcwt.WaveTrain]:
+def _write_cwt(extraction: lcwt.ExtractionResult,
+               trains: list[lcwt.WaveTrain], args, out_dir: Path) -> None:
     """Write the scalogram and the wave trains to ``out_dir``."""
     config = _config(args)
     comments = _config_comments(config)
@@ -344,7 +347,6 @@ def _write_cwt(extraction: lcwt.ExtractionResult, args, out_dir: Path
     if args.svg:
         lcwt.scalogram_to_svg(extraction.scalogram, out_dir / "scalogram.svg",
                               comments=comments)
-    trains = lcwt.group_wave_trains(extraction.waves)
     write_json(out_dir / "wave_trains.json", {
         "config": config,
         "waves": [w.to_dict() for w in extraction.waves],
@@ -352,14 +354,14 @@ def _write_cwt(extraction: lcwt.ExtractionResult, args, out_dir: Path
         "low_confidence": extraction.low_confidence,
         "energy_history": list(extraction.energy_history),
     })
-    return trains
 
 
 def _cmd_cwt(args) -> int:
     series = _read_series(args)
-    out_dir = _resolve_out_dir(args.out_dir)
     extraction = _extract(series, args)
-    _write_cwt(extraction, args, out_dir)
+    trains = lcwt.group_wave_trains(extraction.waves)
+    out_dir = _resolve_out_dir(args.out_dir)
+    _write_cwt(extraction, trains, args, out_dir)
     print(f"{len(extraction.waves)} waves retained, "
           f"low_confidence={extraction.low_confidence}")
     print(f"wrote {out_dir / 'scalogram.csv'} and "
@@ -399,8 +401,9 @@ def _cmd_coint(args) -> int:
 def run_pipeline(args) -> int:
     """Extract, split, and validate one series end to end.
 
-    The pulse chain is the extraction's last joint refit; a series in
-    which no wave is found is an input error and writes nothing.
+    The pulse chain is the extraction's last joint refit. Every stage
+    runs before the output directory is made, so an input error (no
+    wave found, a bad lag order) writes nothing.
     """
     series = _read_series(args)
 
@@ -409,34 +412,13 @@ def run_pipeline(args) -> int:
     chain_fit = extraction.fit
     if chain_fit is None:
         raise ValueError("no wave found")
-    out_dir = _resolve_out_dir(args.out_dir)
-    config = _config(args)
-    trains = _write_cwt(extraction, args, out_dir)
+    trains = lcwt.group_wave_trains(extraction.waves)
 
     # stage 2: the extracted chain and its regression diagnostics
     predictions, regression = _chain_regression(series, chain_fit)
-    write_json(out_dir / "fit_report.json",
-               _fit_payload(chain_fit, regression, config))
-    write_json(out_dir / "regression_report.json",
-               {"config": config, **regression.to_dict()})
-    if args.svg:
-        write_line_plot(out_dir / "decomposition.svg", series.times, {
-            "data": (series.values, "#888888"),
-            "fitted chain": (predictions, "#d62728"),
-            "extraction residual": (extraction.residual.values, "#1f77b4"),
-        }, comments=_config_comments(config))
 
     # stage 3: redundancy decomposition from the sign-grouped trains
     split = lcwt.redundancy_split(trains, series.times, args.positive_role)
-    with open(out_dir / "redundancy.csv", "w", encoding="utf-8") as fh:
-        for line in _config_comments(config):
-            fh.write(f"# {line}\n")
-        fh.write("t,historical,synergetic,total\n")
-        hist = split.historical.tolist()
-        syn = split.synergetic.tolist()
-        total = split.total.tolist()
-        for i, t in enumerate(series.times.tolist()):
-            fh.write(f"{t!r},{hist[i]!r},{syn[i]!r},{total[i]!r}\n")
 
     # stage 4: unit-root and cointegration validation of data vs model
     adf_data = stats.adf_test(series, _lags(args.lags), args.kind)
@@ -453,7 +435,30 @@ def run_pipeline(args) -> int:
                          and cointegration.cointegrated_at is not None),
     }
     passed = all(checks.values())
-    validation = {
+
+    out_dir = _resolve_out_dir(args.out_dir)
+    config = _config(args)
+    _write_cwt(extraction, trains, args, out_dir)
+    write_json(out_dir / "fit_report.json",
+               _fit_payload(chain_fit, regression, config))
+    write_json(out_dir / "regression_report.json",
+               {"config": config, **regression.to_dict()})
+    if args.svg:
+        write_line_plot(out_dir / "decomposition.svg", series.times, {
+            "data": (series.values, "#888888"),
+            "fitted chain": (predictions, "#d62728"),
+            "extraction residual": (extraction.residual.values, "#1f77b4"),
+        }, comments=_config_comments(config))
+    with open(out_dir / "redundancy.csv", "w", encoding="utf-8") as fh:
+        for line in _config_comments(config):
+            fh.write(f"# {line}\n")
+        fh.write("t,historical,synergetic,total\n")
+        hist = split.historical.tolist()
+        syn = split.synergetic.tolist()
+        total = split.total.tolist()
+        for i, t in enumerate(series.times.tolist()):
+            fh.write(f"{t!r},{hist[i]!r},{syn[i]!r},{total[i]!r}\n")
+    write_json(out_dir / "validation.json", {
         "config": config,
         "adf_data": adf_data.to_dict(),
         "engle_granger": cointegration.to_dict() if cointegration else None,
@@ -466,8 +471,7 @@ def run_pipeline(args) -> int:
         "low_confidence": extraction.low_confidence,
         "checks": checks,
         "passed": passed,
-    }
-    write_json(out_dir / "validation.json", validation)
+    })
 
     print(f"fit: beta={_fmt(chain_fit.model.beta)} "
           f"R2={_fmt(regression.r_squared)}")

@@ -166,6 +166,8 @@ def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
     """Log grid over nominal support widths of 4 samples .. n_samples / 2."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if num < 1:
+        raise ValueError("need at least 1 scale")
     a_min = 4.0 / SUPPORT_PER_SCALE
     a_max = max((n_samples / 2.0) / SUPPORT_PER_SCALE, a_min * 1.5)
     return np.geomspace(a_min, a_max, num)

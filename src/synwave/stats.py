@@ -7,10 +7,10 @@ the two-step residual-based cointegration test: OLS of y on x with an
 intercept, then a no-deterministic-terms unit-root test on the
 residuals against stricter critical values.
 
-Critical values are embedded constants evaluated from the MacKinnon
-(2010, QED working paper 1227) response surfaces at sample sizes
-{25, 50, 100, 250, 500, inf} and interpolated linearly in 1/n between
-grid points (below n = 25 the n = 25 row applies).
+Critical values come from the MacKinnon (2010, QED working paper 1227)
+response surfaces cv(n) = b_inf + b1/n + b2/n^2 + b3/n^3, a cubic in
+1/n evaluated at the regression's observation count n; below n = 25
+the n = 25 value applies.
 """
 from __future__ import annotations
 
@@ -22,44 +22,31 @@ from .fit import TimeSeries, RegressionResult, ols
 
 REGRESSION_KINDS = ("none", "constant", "constant+trend")
 _LEVELS = ("1%", "5%", "10%")
-_TABLE_N = (25.0, 50.0, 100.0, 250.0, 500.0, np.inf)
 
-# rows follow _TABLE_N; columns follow _LEVELS
-_ADF_TABLE = {
+# one (b_inf, b1, b2, b3) row per level, rows follow _LEVELS
+_ADF_SURFACES = {
     "none": (
-        (-2.6610, -1.9551, -1.6089),
-        (-2.6119, -1.9475, -1.6124),
-        (-2.5885, -1.9440, -1.6144),
-        (-2.5747, -1.9421, -1.6158),
-        (-2.5702, -1.9416, -1.6163),
-        (-2.5657, -1.9410, -1.6168),
+        (-2.56574, -2.2358, -3.627, 0.0),
+        (-1.94100, -0.2686, -3.365, 31.223),
+        (-1.61682, 0.2656, -2.714, 25.364),
     ),
     "constant": (
-        (-3.7239, -2.9865, -2.6328),
-        (-3.5685, -2.9214, -2.5987),
-        (-3.4975, -2.8909, -2.5824),
-        (-3.4568, -2.8732, -2.5730),
-        (-3.4435, -2.8673, -2.5699),
-        (-3.4303, -2.8615, -2.5668),
+        (-3.43035, -6.5393, -16.786, -79.433),
+        (-2.86154, -2.8903, -4.234, -40.040),
+        (-2.56677, -1.5384, -2.809, 0.0),
     ),
     "constant+trend": (
-        (-4.3750, -3.6035, -3.2382),
-        (-4.1523, -3.5023, -3.1805),
-        (-4.0523, -3.4553, -3.1533),
-        (-3.9954, -3.4282, -3.1375),
-        (-3.9770, -3.4193, -3.1322),
-        (-3.9588, -3.4105, -3.1271),
+        (-3.95877, -9.0531, -28.428, -134.155),
+        (-3.41049, -4.3904, -9.036, -45.374),
+        (-3.12705, -2.5856, -3.925, -22.380),
     ),
 }
 
 # residual-based cointegration test, two series, intercept in step 1
-_ENGLE_GRANGER_TABLE = (
-    (-4.3706, -3.5915, -3.2184),
-    (-4.1245, -3.4611, -3.1304),
-    (-4.0082, -3.3979, -3.0871),
-    (-3.9406, -3.3607, -3.0615),
-    (-3.9184, -3.3484, -3.0529),
-    (-3.8964, -3.3361, -3.0444),
+_ENGLE_GRANGER_SURFACE = (
+    (-3.89644, -10.9519, -22.527, 0.0),
+    (-3.33613, -6.1101, -6.823, 0.0),
+    (-3.04445, -4.2412, -2.720, 0.0),
 )
 
 
@@ -107,15 +94,10 @@ def schwert_lags(n: int) -> int:
     return int(np.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def _interp_critical_values(table, n_obs: int) -> dict[str, float]:
+def _critical_values(surface, n_obs: float) -> dict[str, float]:
     q = 1.0 / max(n_obs, 25)
-    grid_q = [1.0 / g if np.isfinite(g) else 0.0 for g in _TABLE_N]
-    out = {}
-    for col, level in enumerate(_LEVELS):
-        col_vals = [row[col] for row in table]
-        # grid_q decreases from 1/25 to 0; np.interp needs ascending x
-        out[level] = float(np.interp(q, grid_q[::-1], col_vals[::-1]))
-    return out
+    return {level: b_inf + b1 * q + b2 * q ** 2 + b3 * q ** 3
+            for level, (b_inf, b1, b2, b3) in zip(_LEVELS, surface)}
 
 
 def _finest_rejection(statistic: float, critical_values: dict) -> str | None:
@@ -134,6 +116,12 @@ def adf_test(series: TimeSeries, lags: int | str = "auto",
     """
     if kind not in REGRESSION_KINDS:
         raise ValueError(f"kind must be one of {REGRESSION_KINDS}")
+    return _unit_root(series, lags, kind, _ADF_SURFACES[kind])
+
+
+def _unit_root(series: TimeSeries, lags: int | str, kind: str,
+               surface) -> ADFResult:
+    """``adf_test``'s regression, judged by ``surface`` at its n."""
     y = series.values
     n = y.size
     if lags == "auto":
@@ -170,7 +158,7 @@ def adf_test(series: TimeSeries, lags: int | str = "auto",
     if se[0] == 0.0:
         raise ValueError("degenerate unit-root regression")
     statistic = float(beta[0] / se[0])
-    critical_values = _interp_critical_values(_ADF_TABLE[kind], nobs)
+    critical_values = _critical_values(surface, nobs)
     return ADFResult(
         statistic=statistic,
         lags_used=p,
@@ -200,33 +188,15 @@ def engle_granger(y: TimeSeries, x: TimeSeries) -> CointegrationResult:
             statistic=-np.inf,
             lags_used=0,
             regression_kind="none",
-            critical_values=_interp_critical_values(
-                _ENGLE_GRANGER_TABLE, len(y)),
+            critical_values=_critical_values(_ENGLE_GRANGER_SURFACE, len(y)),
             reject_at="1%",
         )
-        return CointegrationResult(
-            step1=step1,
-            residual_adf=degenerate_adf,
-            cointegrated_at="1%",
-            degenerate=True,
-        )
-    residual_series = TimeSeries(y.times, residuals)
-    base = adf_test(residual_series, lags="auto", kind="none")
-    critical_values = _interp_critical_values(
-        _ENGLE_GRANGER_TABLE, len(residuals) - base.lags_used - 1)
-    residual_adf = ADFResult(
-        statistic=base.statistic,
-        lags_used=base.lags_used,
-        regression_kind="none",
-        critical_values=critical_values,
-        reject_at=_finest_rejection(base.statistic, critical_values),
-    )
-    return CointegrationResult(
-        step1=step1,
-        residual_adf=residual_adf,
-        cointegrated_at=residual_adf.reject_at,
-        degenerate=False,
-    )
+        return CointegrationResult(step1=step1, residual_adf=degenerate_adf,
+                                   cointegrated_at="1%", degenerate=True)
+    residual_adf = _unit_root(TimeSeries(y.times, residuals), "auto", "none",
+                              _ENGLE_GRANGER_SURFACE)
+    return CointegrationResult(step1=step1, residual_adf=residual_adf,
+                               cointegrated_at=residual_adf.reject_at)
 
 
 def simulate_adf_rejection_rate(process: str, reps: int, n: int,

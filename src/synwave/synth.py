@@ -79,8 +79,11 @@ def write_series_csv(path, series: TimeSeries, comments=()) -> None:
             fh.write(f"{t!r},{v!r}\n")
 
 
-def generate_synthetic(kind: str, seed: int, path, n: int | None = None) -> str:
-    """Write one synthetic dataset as CSV and return the path."""
+def synthetic_series(kind: str, seed: int, n: int | None = None
+                     ) -> tuple[TimeSeries, list[str]]:
+    """One seeded dataset and the comment lines that describe it."""
+    if n is not None and n < 1:
+        raise ValueError("n must be at least 1")
     if kind == "corn-like":
         series = corn_like_series(seed, n or CORN_SAMPLES)
         params = [
@@ -98,5 +101,11 @@ def generate_synthetic(kind: str, seed: int, path, n: int | None = None) -> str:
         params = ["kind: noise", f"seed: {seed}"]
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
+    return series, params
+
+
+def generate_synthetic(kind: str, seed: int, path, n: int | None = None) -> str:
+    """Write one synthetic dataset as CSV and return the path."""
+    series, params = synthetic_series(kind, seed, n)
     write_series_csv(path, series, params)
     return str(path)

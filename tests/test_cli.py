@@ -25,6 +25,18 @@ def write_two_series_csv(path):
     return path
 
 
+# runs that exit 1 on an option value; none may leave its --out-dir behind
+FAILING_RUNS = [
+    (["cwt", "--max-waves", "0"], "max_waves must be at least 1"),
+    (["cwt", "--scales", "0"], "need at least 1 scale"),
+    (["pipeline", "--scales", "0"], "need at least 1 scale"),
+    (["pipeline", "--lags", "500"], "too short for 500 lags"),
+    (["pipeline", "--lags", "-2"], "lag order must be nonnegative"),
+    (["synth", "--kind", "noise", "--n", "-1"], "n must be at least 1"),
+    (["synth", "--kind", "corn-like", "--n", "0"], "n must be at least 1"),
+]
+
+
 class TestIngest:
     def test_corn_csv_has_241_rows(self, tmp_path):
         path = tmp_path / "corn.csv"
@@ -93,6 +105,16 @@ class TestIngest:
         assert variables == ("x", "y")
         assert rows == [("lo, x", "mid"), ("hi", "a,b")]
 
+    @pytest.mark.parametrize("command", ["entropy", "synergy"])
+    def test_long_categorical_row_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "cat.csv"
+        path.write_text("a,b\n0,1\n1,0\nx,y,z\n0,0\n")
+        rc = cli.main([command, "--input", str(path),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "ragged row 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_corn_like_deterministic(self, tmp_path):
@@ -113,6 +135,17 @@ class TestSynth:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             synth.generate_synthetic("weird", 1, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_length_rejected(self, tmp_path, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            synth.generate_synthetic("noise", 1, tmp_path / "x.csv", n)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_one_sample_is_allowed(self, tmp_path):
+        path = tmp_path / "x.csv"
+        synth.generate_synthetic("corn-like", 1, path, 1)
+        assert len(cli.ingest_timeseries(path)) == 1
 
 
 class TestSubcommands:
@@ -299,6 +332,18 @@ class TestPipeline:
         assert rc == 1
         assert "pipeline:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", FAILING_RUNS,
+                             ids=[" ".join(argv) for argv, _ in FAILING_RUNS])
+    def test_failed_command_leaves_no_out_dir(self, tmp_path, capsys,
+                                              argv, message):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", 33, data)
+        inputs = [] if argv[0] == "synth" else ["--input", str(data)]
+        out = tmp_path / "out"
+        assert cli.main([*argv, *inputs, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exits_one(self, capsys):
         rc = cli.main(["pipeline", "--no-such-flag"])

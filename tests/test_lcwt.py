@@ -133,6 +133,11 @@ class TestCwt:
         with pytest.raises(ValueError):
             lcwt.cwt(pulse_series(n=64, center=32.0), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("num", [0, -3])
+    def test_empty_scale_grid_rejected(self, num):
+        with pytest.raises(ValueError, match="need at least 1 scale"):
+            lcwt.default_scales(64, num)
+
 
 class TestWaveletScaleConstant:
     @pytest.mark.parametrize("order", [2, 3])

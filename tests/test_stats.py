@@ -37,8 +37,27 @@ class TestAdf:
     def test_critical_values_strictly_ordered(self):
         for kind in stats.REGRESSION_KINDS:
             for n in (30, 75, 200, 10_000):
-                cv = stats._interp_critical_values(stats._ADF_TABLE[kind], n)
+                cv = stats._critical_values(stats._ADF_SURFACES[kind], n)
                 assert cv["1%"] < cv["5%"] < cv["10%"]
+
+    @pytest.mark.parametrize("kind, n, level, published", [
+        ("constant", 100, "5%", -2.8909),
+        ("constant+trend", 25, "1%", -4.3750),
+        ("none", np.inf, "10%", -1.6168),
+        ("engle-granger", 50, "5%", -3.4611),
+    ])
+    def test_published_critical_values(self, kind, n, level, published):
+        # MacKinnon (2010) tables, to the 4 decimals they are printed with
+        surfaces = {**stats._ADF_SURFACES,
+                    "engle-granger": stats._ENGLE_GRANGER_SURFACE}
+        cv = stats._critical_values(surfaces[kind], n)
+        assert round(cv[level], 4) == published
+
+    def test_short_samples_use_the_n25_values(self):
+        for rows in (*stats._ADF_SURFACES.values(),
+                     stats._ENGLE_GRANGER_SURFACE):
+            assert (stats._critical_values(rows, 12)
+                    == stats._critical_values(rows, 25))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +128,15 @@ class TestEngleGranger:
         with pytest.raises(ValueError):
             stats.engle_granger(series(np.zeros(40)),
                                 series(np.arange(41.0)))
+
+    def test_residual_test_is_judged_by_the_engle_granger_surface(self):
+        rng = np.random.default_rng(26)
+        x = np.cumsum(rng.standard_normal(250))
+        y = 2.0 * x + rng.standard_normal(250)
+        residual_adf = stats.engle_granger(series(y), series(x)).residual_adf
+        n_obs = 250 - residual_adf.lags_used - 1
+        assert residual_adf.critical_values == stats._critical_values(
+            stats._ENGLE_GRANGER_SURFACE, n_obs)
 
     def test_json_layout(self):
         rng = np.random.default_rng(26)
