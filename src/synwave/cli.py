@@ -118,8 +118,8 @@ def _config_comments(config: dict) -> list[str]:
 
 
 def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows; blank and ``#`` lines are skipped and quoted
-    cells may hold commas."""
+    """Header and data rows; blank and ``#`` lines are skipped, quoted
+    cells may hold commas, and every data row has the header's length."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [raw.strip() for raw in fh]
@@ -130,7 +130,13 @@ def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
         skipinitialspace=True)]
     if not records:
         raise ValueError(f"{path} is empty")
-    return records[0], records[1:]
+    header, rows = records[0], records[1:]
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"ragged row {i + 1}")
+    return header, rows
 
 
 def ingest_timeseries(path, value_column: str | None = None,
@@ -143,8 +149,6 @@ def ingest_timeseries(path, value_column: str | None = None,
     interpolated and a warning is emitted.
     """
     header, rows = _read_csv_rows(path)
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
 
     def column_index(name, default):
         if name is None:
@@ -153,16 +157,11 @@ def ingest_timeseries(path, value_column: str | None = None,
             raise ValueError(f"column {name!r} not in header {header}")
         return header.index(name)
 
-    def cell_at(i, idx):
-        if idx >= len(rows[i]):
-            raise ValueError(f"row {i + 1} has no column {idx}")
-        return rows[i][idx]
-
     v_idx = column_index(value_column, len(header) - 1)
     values = np.empty(len(rows))
     missing = []
-    for i in range(len(rows)):
-        cell = cell_at(i, v_idx)
+    for i, row in enumerate(rows):
+        cell = row[v_idx]
         if cell == "" or cell.lower() == "nan":
             values[i] = np.nan
             missing.append(i)
@@ -187,9 +186,8 @@ def ingest_timeseries(path, value_column: str | None = None,
         times = np.arange(len(rows), dtype=float)
     else:
         t_idx = column_index(time_column, None)
-        cells = [cell_at(i, t_idx) for i in range(len(rows))]
         try:
-            times = np.array([float(cell) for cell in cells])
+            times = np.array([float(row[t_idx]) for row in rows])
         except ValueError as exc:
             raise ValueError("non-numeric time cell") from exc
     return TimeSeries(times, values)
@@ -204,8 +202,6 @@ def _read_series(args) -> TimeSeries:
 def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tuple]]:
     """Load categorical observations, one tuple per row."""
     header, rows = _read_csv_rows(path)
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
     if columns:
         for name in columns:
             if name not in header:
@@ -214,12 +210,7 @@ def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tupl
     else:
         columns = header
         idx = list(range(len(header)))
-    observations = []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"ragged row {i + 1}")
-        observations.append(tuple(row[j] for j in idx))
-    return tuple(columns), observations
+    return tuple(columns), [tuple(row[j] for j in idx) for row in rows]
 
 
 def _resolve_out_dir(arg_value) -> Path:
@@ -248,17 +239,16 @@ def _cmd_entropy(args) -> int:
     subsets = [variables]
     if len(variables) > 1:
         subsets = [variables] + [(v,) for v in variables]
-    reports = [infotheory.information_report(table, s).to_dict()
-               for s in subsets]
+    reports = [infotheory.information_report(table, s) for s in subsets]
     out_dir = _resolve_out_dir(args.out_dir)
-    payload = {"config": _config(args), "reports": reports}
     path = out_dir / "entropy_report.json"
-    write_json(path, payload)
+    write_json(path, {"config": _config(args),
+                      "reports": [report.to_dict() for report in reports]})
     for report in reports:
-        t = report["T"]
-        r = report["R"]
-        print(f"subset={','.join(report['subset'])} H={_fmt(report['H'])}"
-              + (f" T={_fmt(t)} R={_fmt(r)}" if t is not None else ""))
+        t = report.mutual_information_bits
+        print(f"subset={','.join(report.subset)} H={_fmt(report.entropy_bits)}"
+              + (f" T={_fmt(t)} R={_fmt(report.redundancy_bits)}"
+                 if t is not None else ""))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -316,16 +306,15 @@ def _cmd_fit(args) -> int:
     series = _read_series(args)
     result = fit_soliton_chain(series, args.components)
     _, regression = _chain_regression(series, result)
-    payload = _fit_payload(result, regression, _config(args))
     out_dir = _resolve_out_dir(args.out_dir)
     path = out_dir / "fit_report.json"
-    write_json(path, payload)
-    print(f"beta={_fmt(payload['beta'])} sse={_fmt(payload['sse'])} "
-          f"converged={payload['converged']}")
-    for comp in payload["components"]:
-        print(f"  A={_fmt(comp['A'])} k={_fmt(comp['k'])} "
-              f"center={_fmt(comp['center'])}")
-    print(f"R2={_fmt(payload['regression']['r2'])}")
+    write_json(path, _fit_payload(result, regression, _config(args)))
+    print(f"beta={_fmt(result.model.beta)} sse={_fmt(result.sse)} "
+          f"converged={result.converged}")
+    for comp in result.model.components:
+        print(f"  A={_fmt(comp.amplitude)} k={_fmt(comp.k)} "
+              f"center={_fmt(comp.center)}")
+    print(f"R2={_fmt(regression.r_squared)}")
     print(f"wrote {path}")
     return EXIT_OK
 

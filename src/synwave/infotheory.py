@@ -43,12 +43,10 @@ class ProbabilityTable:
     """Dense joint distribution over named categorical variables.
 
     ``probabilities`` has one axis per variable, in ``variables`` order.
-    ``categories`` optionally maps axis indices back to observed labels.
     """
 
     variables: tuple[str, ...]
     probabilities: np.ndarray
-    categories: tuple[tuple, ...] | None = None
 
     def __post_init__(self):
         variables = tuple(self.variables)
@@ -66,19 +64,10 @@ class ProbabilityTable:
         total = float(probs.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if self.categories is not None:
-            cats = tuple(tuple(c) for c in self.categories)
-            if tuple(len(c) for c in cats) != probs.shape:
-                raise ValueError("categories do not match table shape")
-            object.__setattr__(self, "categories", cats)
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probabilities", probs)
-
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return self.probabilities.shape
 
     def axes_of(self, subset) -> tuple[int, ...]:
         """Axis indices of the given variable labels, in subset order."""
@@ -86,15 +75,6 @@ class ProbabilityTable:
         if missing:
             raise ValueError(f"unknown variable labels: {missing}")
         return tuple(self.variables.index(v) for v in subset)
-
-    def marginal(self, subset) -> "ProbabilityTable":
-        """Marginal table over ``subset``, axes reordered to subset order."""
-        subset = tuple(subset)
-        marg = self._marginal_probabilities(subset)
-        cats = None
-        if self.categories is not None:
-            cats = tuple(self.categories[i] for i in self.axes_of(subset))
-        return ProbabilityTable(subset, marg, cats)
 
     def _marginal_probabilities(self, subset) -> np.ndarray:
         """Probabilities summed over the other axes, in subset axis order."""
@@ -190,24 +170,20 @@ def _interaction_information(subset: tuple, entropy_of):
     return total
 
 
-def from_observations(rows, variables, pseudocount: float = 0.0) -> ProbabilityTable:
+def from_observations(rows, variables) -> ProbabilityTable:
     """Estimate a joint table from categorical observations.
 
-    Probabilities are relative frequencies (optionally with an additive
-    pseudocount per cell). Categories are indexed by first appearance.
+    Probabilities are relative frequencies, one axis entry per category
+    in order of first appearance.
     """
     rows = list(rows)
     variables = tuple(variables)
     if not rows:
         raise ValueError("no observations")
-    if pseudocount < 0.0:
-        raise ValueError("pseudocount must be nonnegative")
     codes, categories = _encode_rows(rows, len(variables))
     counts = np.zeros(tuple(len(c) for c in categories), dtype=float)
     np.add.at(counts, tuple(codes.T), 1.0)
-    counts += pseudocount
-    probs = counts / counts.sum()
-    return ProbabilityTable(variables, probs, categories)
+    return ProbabilityTable(variables, counts / counts.sum())
 
 
 def entropy(table: ProbabilityTable, subset) -> float:

@@ -1,13 +1,12 @@
-"""Continuous wavelet transform with logistic-derivative wavelets.
+"""Continuous wavelet transform with a logistic-derivative wavelet.
 
-The mother wavelet is a derivative of the standard logistic sigmoid
-sigma(t) = 1/(1 + e^-t):
+The mother wavelet is the third derivative of the standard logistic
+sigmoid sigma(t) = 1/(1 + e^-t),
 
-    order 2:  sigma'' = sigma (1 - sigma) (1 - 2 sigma)        (odd)
-    order 3:  sigma''' = sigma (1 - sigma) (1 - 6 sigma + 6 sigma^2)  (even)
+    sigma''' = sigma (1 - sigma) (1 - 6 sigma + 6 sigma^2),
 
-Both integrate to zero over the line (admissible). The transform is the
-L2-normalized correlation
+which is even, like the sech^2 pulses it detects, and integrates to zero
+over the line (admissible). The transform is the L2-normalized correlation
 
     W(a, b) = a^(-1/2) sum_t x(t) psi((t - b) / a) dt
 
@@ -16,14 +15,13 @@ boundaries. ``extract_waves`` repeats a locate / fit / subtract loop:
 each pass ranks the scalogram's local |W| maxima outside the boundary
 fringe, seeds a pulse at each of the strongest well-separated cells and
 keeps the best joint refit. A seed's k is kappa / scale, where kappa is
-one embedded constant per wavelet order that the tests re-derive. The
-last accepted refit is the chain fit of the series; it is how
-``fit.fit_soliton_chain`` seeds a chain of a given pulse count (matching
-pursuit as the seed of a least-squares fit). The resulting sech^2 pulse
-estimates form sign-homogeneous groups (wave
-trains) that carry a linear peak trend, and ``redundancy_split`` turns
-the two trains into nonnegative opposing series whose difference
-reconstructs the extracted signal content.
+one embedded constant that the tests re-derive. The last accepted refit
+is the chain fit of the series; it is how ``fit.fit_soliton_chain``
+seeds a chain of a given pulse count (matching pursuit as the seed of a
+least-squares fit). The resulting sech^2 pulse estimates form
+sign-homogeneous groups (wave trains) that carry a linear peak trend,
+and ``redundancy_split`` turns the two trains into nonnegative opposing
+series whose difference reconstructs the extracted signal content.
 """
 from __future__ import annotations
 
@@ -34,13 +32,14 @@ import numpy as np
 from .fit import FitResult, TimeSeries, fit_soliton_chain, line_fit
 from .models import SolitonChainModel, SolitonComponent, soliton_eval, _sigmoid
 
-DEFAULT_WAVELET_ORDER = 3
 DEFAULT_NUM_SCALES = 64
 DEFAULT_MAX_WAVES = 10
 DEFAULT_ENERGY_STOP = 0.05
 # retention gate for candidate waves, in units of the differenced
 # residual's robust noise level
 _SNR = 5.0
+# candidate cells are taken at least this many samples apart
+_MIN_SEPARATION = 5.0
 # a later-ranked candidate must undercut the best refit's energy by more
 # than this fraction; seeds that converge to the same refit tie within
 # round-off, and the stronger |W| seed keeps the wave then
@@ -55,8 +54,8 @@ KERNEL_RADIUS_PER_SCALE = 15.0
 # half-maximum half-width w of sech^2(k t) satisfies k w = ln(1 + sqrt(2))
 _HALF_MAX_CONST = float(np.log(1.0 + np.sqrt(2.0)))
 
-# k * peak scale of a sech^2 pulse, per order; see wavelet_scale_constant
-_KAPPA = {2: 0.9733038570965178, 3: 1.4298034825734625}
+# k * peak scale of a sech^2 pulse; see wavelet_scale_constant
+_KAPPA = 1.4298034825734625
 
 # side of one scalogram cell in the SVG heatmap, in SVG user units
 _SVG_CELL = 4
@@ -149,16 +148,10 @@ class RedundancyDecomposition:
     positive_role: str
 
 
-def mother_wavelet(order: int, t):
-    """Order-th derivative of the logistic sigmoid, zero-mean over the line."""
-    t_arr = np.asarray(t, dtype=float)
-    sig = _sigmoid(t_arr)
-    if order == 2:
-        out = sig * (1.0 - sig) * (1.0 - 2.0 * sig)
-    elif order == 3:
-        out = sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig)
-    else:
-        raise ValueError(f"unsupported wavelet order {order} (use 2 or 3)")
+def mother_wavelet(t):
+    """Third derivative of the logistic sigmoid; even and zero-mean."""
+    sig = _sigmoid(t)
+    out = sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -173,7 +166,7 @@ def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
     return np.geomspace(a_min, a_max, num)
 
 
-def cwt(series: TimeSeries, scales=None, order: int = DEFAULT_WAVELET_ORDER) -> Scalogram:
+def cwt(series: TimeSeries, scales=None) -> Scalogram:
     """L2-normalized wavelet coefficients at every (scale, sample time).
 
     Boundaries are handled by reflecting the series over half the widest
@@ -200,7 +193,7 @@ def cwt(series: TimeSeries, scales=None, order: int = DEFAULT_WAVELET_ORDER) -> 
     for row, a in enumerate(scales):
         radius = max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
         u = np.arange(-radius, radius + 1, dtype=float)
-        kernel = mother_wavelet(order, u / a) * (dt / np.sqrt(a))
+        kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
         # correlation = convolution with the reversed kernel
         kernel_fft = np.fft.rfft(kernel[::-1], nfft)
         conv = np.fft.irfft(spectrum * kernel_fft, nfft)
@@ -208,16 +201,14 @@ def cwt(series: TimeSeries, scales=None, order: int = DEFAULT_WAVELET_ORDER) -> 
     return Scalogram(series.times.copy(), scales, coefficients)
 
 
-def wavelet_scale_constant(order: int = DEFAULT_WAVELET_ORDER) -> float:
+def wavelet_scale_constant() -> float:
     """Constant kappa with k = kappa / a_peak for sech^2 pulses.
 
     The peak scale of a k = 0.05 unit pulse at the middle of 1601
     samples, on a 512-scale log grid over [2, 120], times 0.05. The
-    values are embedded; the tests re-derive them from that scalogram.
+    value is embedded; the tests re-derive it from that scalogram.
     """
-    if order not in _KAPPA:
-        raise ValueError(f"unsupported wavelet order {order} (use 2 or 3)")
-    return _KAPPA[order]
+    return _KAPPA
 
 
 def _centered_energy(values: np.ndarray) -> float:
@@ -243,8 +234,8 @@ def _refit_sane(waves, series: TimeSeries) -> bool:
     return all(lo <= w.center <= hi and w.k >= k_min for w in waves)
 
 
-def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5,
-                     min_separation: float = 5.0) -> list[tuple[float, float, float]]:
+def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5
+                     ) -> list[tuple[float, float, float]]:
     """(scale, translation, |W|) of the strongest local |W| maxima.
 
     Local means no smaller than both neighbours along translation; cells
@@ -253,7 +244,7 @@ def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5,
     where reflection padding makes coefficients unreliable; the fringe
     rule is dropped if it would leave no cell. Cells rank by |W|
     descending, then translation ascending, then scale ascending, and are
-    taken greedily in that order when at least ``min_separation`` samples
+    taken greedily in that order when at least ``_MIN_SEPARATION`` samples
     from every cell already taken, until ``count`` are chosen.
     """
     magnitude = np.abs(s.coefficients)
@@ -277,7 +268,7 @@ def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5,
     chosen: list[tuple[float, float, float]] = []
     while trans.size and len(chosen) < count:
         chosen.append((float(scale[0]), float(trans[0]), float(peak[0])))
-        apart = np.abs(trans - trans[0]) >= min_separation * step
+        apart = np.abs(trans - trans[0]) >= _MIN_SEPARATION * step
         scale, trans, peak = scale[apart], trans[apart], peak[apart]
     return chosen
 

@@ -3,7 +3,8 @@
 Building blocks:
 
     logistic step    x(t) = x_sat / (1 + exp(-s (t - t0)))
-    logistic rate    x'(t) = (x_sat s / 4) sech^2((s/2)(t - t0))
+    logistic rate    x'(t) = (x_sat s / 4) sech^2((s/2)(t - t0)); for s > 0
+                     that is soliton_eval(fit.logistic_to_soliton(c), t)
     solitary pulse   A sech^2(k (t - c))
     traveling wave   u(X,T) = -(k^2/2) sech^2((k/2)(X - k^2 T))
 
@@ -139,17 +140,6 @@ def _match_input(value):
 def logistic_eval(c: LogisticComponent, t):
     """Logistic step value; stable for arguments out to +-700."""
     out = c.x_sat * _sigmoid(c.s * (np.asarray(t, dtype=float) - c.t0))
-    return _match_input(out)
-
-
-def logistic_derivative_eval(c: LogisticComponent, t):
-    """Exact time derivative of the logistic step.
-
-    Equals (x_sat s / 4) sech^2((s/2)(t - t0)), a sech^2 pulse of height
-    x_sat s / 4 at the midpoint.
-    """
-    z = 0.5 * c.s * (np.asarray(t, dtype=float) - c.t0)
-    out = 0.25 * c.x_sat * c.s * _sech_squared(z)
     return _match_input(out)
 
 

@@ -37,13 +37,12 @@ def corn_like_model() -> SolitonChainModel:
     )
 
 
-def corn_like_series(seed: int, n: int = CORN_SAMPLES,
-                     noise_fraction: float = CORN_NOISE_FRACTION) -> TimeSeries:
+def corn_like_series(seed: int, n: int = CORN_SAMPLES) -> TimeSeries:
     """Three-pulse chain plus seeded noise sized against the tallest pulse."""
     rng = np.random.default_rng(seed)
     times = np.arange(n, dtype=float)
     clean = chain_eval(corn_like_model(), times)
-    sigma = noise_fraction * max(abs(p[0]) for p in CORN_PULSES)
+    sigma = CORN_NOISE_FRACTION * max(abs(p[0]) for p in CORN_PULSES)
     return TimeSeries(times, clean + sigma * rng.standard_normal(n))
 
 

@@ -36,6 +36,10 @@ FAILING_RUNS = [
     (["synth", "--kind", "corn-like", "--n", "0"], "n must be at least 1"),
 ]
 
+# data rows longer than the header; the numeric file's is its second
+CATEGORICAL_LONG_ROW = "a,b\n0,1\n1,0\nx,y,z\n0,0\n"
+NUMERIC_LONG_ROW = "t,value\n0,1.0\n1,2.0,99\n2,3.0\n3,5.0\n"
+
 
 class TestIngest:
     def test_corn_csv_has_241_rows(self, tmp_path):
@@ -96,7 +100,7 @@ class TestIngest:
         rc = cli.main(["adf", "--input", str(path), "--value-column", "v",
                        "--time-column", "t", "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert "row 3 has no column 1" in capsys.readouterr().err
+        assert "ragged row 3" in capsys.readouterr().err
 
     def test_quoted_categorical_cell_keeps_its_comma(self, tmp_path):
         path = tmp_path / "cat.csv"
@@ -105,14 +109,21 @@ class TestIngest:
         assert variables == ("x", "y")
         assert rows == [("lo, x", "mid"), ("hi", "a,b")]
 
-    @pytest.mark.parametrize("command", ["entropy", "synergy"])
-    def test_long_categorical_row_exits_one(self, tmp_path, capsys, command):
-        path = tmp_path / "cat.csv"
-        path.write_text("a,b\n0,1\n1,0\nx,y,z\n0,0\n")
+    @pytest.mark.parametrize("command, text, row", [
+        pytest.param("entropy", CATEGORICAL_LONG_ROW, 3, id="entropy"),
+        pytest.param("synergy", CATEGORICAL_LONG_ROW, 3, id="synergy"),
+        pytest.param("cwt", NUMERIC_LONG_ROW, 2, id="cwt-numeric"),
+        pytest.param("adf", NUMERIC_LONG_ROW, 2, id="adf-numeric"),
+        pytest.param("pipeline", NUMERIC_LONG_ROW, 2, id="pipeline-numeric"),
+    ])
+    def test_long_categorical_row_exits_one(self, tmp_path, capsys, command,
+                                            text, row):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
         rc = cli.main([command, "--input", str(path),
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert "ragged row 3" in capsys.readouterr().err
+        assert f"ragged row {row}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -52,26 +52,19 @@ def pulse_series(amplitude=1.0, k=0.05, center=500.0, n=1000):
 
 
 class TestMotherWavelet:
-    def test_order_two_is_odd(self):
-        assert lcwt.mother_wavelet(2, 0.0) == 0.0
+    def test_is_even(self):
         ts = np.linspace(0.1, 30.0, 100)
-        assert np.abs(lcwt.mother_wavelet(2, ts)
-                      + lcwt.mother_wavelet(2, -ts)).max() < 1e-15
+        assert np.abs(lcwt.mother_wavelet(ts)
+                      - lcwt.mother_wavelet(-ts)).max() < 1e-15
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_zero_mean(self, order):
+    def test_zero_mean(self):
         ts = np.linspace(-60.0, 60.0, 240001)
-        integral = np.trapezoid(lcwt.mother_wavelet(order, ts), ts)
+        integral = np.trapezoid(lcwt.mother_wavelet(ts), ts)
         assert abs(integral) < 1e-10
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_tail_decay(self, order):
-        assert abs(lcwt.mother_wavelet(order, 80.0)) < 1e-30
-        assert abs(lcwt.mother_wavelet(order, -80.0)) < 1e-30
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            lcwt.mother_wavelet(1, 0.0)
+    def test_tail_decay(self):
+        assert abs(lcwt.mother_wavelet(80.0)) < 1e-30
+        assert abs(lcwt.mother_wavelet(-80.0)) < 1e-30
 
 
 class TestCwt:
@@ -109,7 +102,7 @@ class TestCwt:
         for row, a in enumerate(scales):
             radius = max(int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * a)), 2)
             u = np.arange(-radius, radius + 1, dtype=float)
-            kernel = lcwt.mother_wavelet(3, u / a) / np.sqrt(a)
+            kernel = lcwt.mother_wavelet(u / a) / np.sqrt(a)
             direct = np.convolve(padded, kernel[::-1], mode="full")
             direct = direct[pad + radius: pad + radius + 200]
             assert np.abs(direct - scalogram.coefficients[row]).max() < 1e-12
@@ -121,7 +114,7 @@ class TestCwt:
         assert abs((b2 - b1) - shift) <= 1.0
 
     def test_scale_calibration_across_widths(self):
-        kappa = lcwt.wavelet_scale_constant(3)
+        kappa = lcwt.wavelet_scale_constant()
         for k in (0.01, 0.02, 0.05, 0.1):
             n = max(int(40.0 / k), 400)
             series = pulse_series(k=k, center=n / 2.0, n=n)
@@ -140,18 +133,13 @@ class TestCwt:
 
 
 class TestWaveletScaleConstant:
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_embedded_constant_is_rederived_exactly(self, order):
+    def test_embedded_constant_is_rederived_exactly(self):
         k_ref = 0.05
         series = pulse_series(k=k_ref, center=800.0, n=1601)
-        scalogram = lcwt.cwt(series, np.geomspace(2.0, 120.0, 512), order)
+        scalogram = lcwt.cwt(series, np.geomspace(2.0, 120.0, 512))
         peak_scale = peak_cell(scalogram)[0]
-        assert lcwt._KAPPA[order] == k_ref * peak_scale
-        assert lcwt.wavelet_scale_constant(order) == lcwt._KAPPA[order]
-
-    def test_unsupported_order_rejected(self):
-        with pytest.raises(ValueError):
-            lcwt.wavelet_scale_constant(4)
+        assert lcwt._KAPPA == k_ref * peak_scale
+        assert lcwt.wavelet_scale_constant() == lcwt._KAPPA
 
 
 class TestPeakCell:

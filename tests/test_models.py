@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synwave import models
+from synwave import fit, models
 
 DEMO_CHAIN = models.SolitonChainModel(
     beta=310.75,
@@ -17,6 +17,10 @@ DEMO_CHAIN = models.SolitonChainModel(
 class TestLogistic:
     def setup_method(self):
         self.comp = models.LogisticComponent(100.0, 0.5, 10.0)
+
+    def rate(self, t):
+        """The logistic rate, the derivative pulse of the step."""
+        return models.soliton_eval(fit.logistic_to_soliton(self.comp), t)
 
     def test_midpoint(self):
         assert models.logistic_eval(self.comp, 10.0) == pytest.approx(50.0)
@@ -36,19 +40,19 @@ class TestLogistic:
         assert hi == 100.0
 
     def test_derivative_peak(self):
-        assert models.logistic_derivative_eval(self.comp, 10.0) == (
+        assert self.rate(10.0) == (
             pytest.approx(12.5))
 
     def test_derivative_tail(self):
         t = 10.0 + 200.0 / 0.5
-        assert abs(models.logistic_derivative_eval(self.comp, t)) < 1e-12
+        assert abs(self.rate(t)) < 1e-12
 
     def test_derivative_matches_finite_difference(self):
         ts = np.linspace(5.0, 15.0, 21)
         h = 1e-5
         fd = (models.logistic_eval(self.comp, ts + h)
               - models.logistic_eval(self.comp, ts - h)) / (2.0 * h)
-        an = models.logistic_derivative_eval(self.comp, ts)
+        an = self.rate(ts)
         assert np.abs((fd - an) / an).max() < 1e-6
 
     def test_finite_difference_converges_quadratically(self):
@@ -57,7 +61,7 @@ class TestLogistic:
         def err(h):
             fd = (models.logistic_eval(self.comp, ts + h)
                   - models.logistic_eval(self.comp, ts - h)) / (2.0 * h)
-            return np.abs(fd - models.logistic_derivative_eval(self.comp, ts)).max()
+            return np.abs(fd - self.rate(ts)).max()
 
         ratio = err(1e-3) / err(1e-4)
         assert 50.0 < ratio < 200.0
@@ -88,8 +92,8 @@ class TestSoliton:
         soliton = models.SolitonComponent(x_sat * s / 4.0, s / 2.0, t0)
         logistic = models.LogisticComponent(x_sat, s, t0)
         ts = np.linspace(-40.0, 60.0, 501)
-        assert np.abs(models.soliton_eval(soliton, ts)
-                      - models.logistic_derivative_eval(logistic, ts)).max() < 1e-12
+        rate = models.soliton_eval(fit.logistic_to_soliton(logistic), ts)
+        assert np.abs(models.soliton_eval(soliton, ts) - rate).max() < 1e-12
 
 
 class TestChain:
