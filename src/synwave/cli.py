@@ -139,6 +139,12 @@ def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _column_index(header: list[str], name: str) -> int:
+    if name not in header:
+        raise ValueError(f"column {name!r} not in header {header}")
+    return header.index(name)
+
+
 def ingest_timeseries(path, value_column: str | None = None,
                       time_column: str | None = None,
                       fill: bool = False) -> TimeSeries:
@@ -149,15 +155,8 @@ def ingest_timeseries(path, value_column: str | None = None,
     interpolated and a warning is emitted.
     """
     header, rows = _read_csv_rows(path)
-
-    def column_index(name, default):
-        if name is None:
-            return default
-        if name not in header:
-            raise ValueError(f"column {name!r} not in header {header}")
-        return header.index(name)
-
-    v_idx = column_index(value_column, len(header) - 1)
+    v_idx = (len(header) - 1 if value_column is None
+             else _column_index(header, value_column))
     values = np.empty(len(rows))
     missing = []
     for i, row in enumerate(rows):
@@ -185,7 +184,7 @@ def ingest_timeseries(path, value_column: str | None = None,
     if time_column is None:
         times = np.arange(len(rows), dtype=float)
     else:
-        t_idx = column_index(time_column, None)
+        t_idx = _column_index(header, time_column)
         try:
             times = np.array([float(row[t_idx]) for row in rows])
         except ValueError as exc:
@@ -203,10 +202,7 @@ def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tupl
     """Load categorical observations, one tuple per row."""
     header, rows = _read_csv_rows(path)
     if columns:
-        for name in columns:
-            if name not in header:
-                raise ValueError(f"column {name!r} not in header {header}")
-        idx = [header.index(c) for c in columns]
+        idx = [_column_index(header, name) for name in columns]
     else:
         columns = header
         idx = list(range(len(header)))
@@ -406,8 +402,9 @@ def run_pipeline(args) -> int:
     # stage 2: the extracted chain and its regression diagnostics
     predictions, regression = _chain_regression(series, chain_fit)
 
-    # stage 3: redundancy decomposition from the sign-grouped trains
-    split = lcwt.redundancy_split(trains, series.times, args.positive_role)
+    # stage 3: redundancy decomposition from the waves of either sign
+    split = lcwt.redundancy_split(extraction.waves, series.times,
+                                  args.positive_role)
 
     # stage 4: unit-root and cointegration validation of data vs model
     adf_data = stats.adf_test(series, _lags(args.lags), args.kind)
@@ -570,10 +567,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR if code == 2 else code
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

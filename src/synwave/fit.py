@@ -20,6 +20,7 @@ from .models import (
     LogisticComponent,
     SolitonChainModel,
     SolitonComponent,
+    _check_uniform_grid,
     _sech_squared,
     chain_eval,
     cumulative_chain_eval,
@@ -55,13 +56,7 @@ class TimeSeries:
             raise ValueError("empty series")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("times and values must be finite")
-        if t.size > 1:
-            steps = np.diff(t)
-            if np.any(steps <= 0.0):
-                raise ValueError("times must be strictly increasing")
-            h = steps[0]
-            if np.any(np.abs(steps - h) > 1e-9 * max(1.0, abs(h))):
-                raise ValueError("times must be uniformly spaced")
+        _check_uniform_grid("times", t)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

@@ -38,6 +38,19 @@ import numpy as np
 _PROB_SUM_TOL = 1e-12
 
 
+def _label_axes(variables: tuple, subset: tuple) -> tuple[int, ...]:
+    """Positions of the ``subset`` labels in ``variables``, after checking
+    that neither repeats a label and that every subset label is known."""
+    if len(variables) != len(set(variables)):
+        raise ValueError("duplicate variable labels")
+    if len(subset) != len(set(subset)):
+        raise ValueError("repeated variable in subset")
+    missing = [v for v in subset if v not in variables]
+    if missing:
+        raise ValueError(f"unknown variable labels: {missing}")
+    return tuple(variables.index(v) for v in subset)
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Dense joint distribution over named categorical variables.
@@ -51,8 +64,7 @@ class ProbabilityTable:
     def __post_init__(self):
         variables = tuple(self.variables)
         probs = np.asarray(self.probabilities, dtype=float)
-        if len(variables) != len(set(variables)):
-            raise ValueError("duplicate variable labels")
+        _label_axes(variables, ())
         if probs.ndim != len(variables):
             raise ValueError(
                 f"probabilities have {probs.ndim} axes for {len(variables)} variables"
@@ -71,18 +83,13 @@ class ProbabilityTable:
 
     def axes_of(self, subset) -> tuple[int, ...]:
         """Axis indices of the given variable labels, in subset order."""
-        missing = [v for v in subset if v not in self.variables]
-        if missing:
-            raise ValueError(f"unknown variable labels: {missing}")
-        return tuple(self.variables.index(v) for v in subset)
+        return _label_axes(self.variables, tuple(subset))
 
     def _marginal_probabilities(self, subset) -> np.ndarray:
         """Probabilities summed over the other axes, in subset axis order."""
         subset = tuple(subset)
         if not subset:
             raise ValueError("empty subset")
-        if len(subset) != len(set(subset)):
-            raise ValueError("repeated variable in subset")
         keep = self.axes_of(subset)
         drop = tuple(i for i in range(len(self.variables)) if i not in keep)
         marg = self.probabilities.sum(axis=drop) if drop else self.probabilities
@@ -239,15 +246,9 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
         raise ValueError("window must be at least 8 samples")
     if stride < 1:
         raise ValueError("stride must be positive")
-    if len(variables) != len(set(variables)):
-        raise ValueError("duplicate variable labels")
-    if len(subset) != len(set(subset)):
-        raise ValueError("repeated variable in subset")
+    _label_axes(variables, subset)
     if len(subset) < 2:
         raise ValueError("mutual redundancy needs at least two variables")
-    missing = [v for v in subset if v not in variables]
-    if missing:
-        raise ValueError(f"unknown variable labels: {missing}")
     codes, categories = _encode_rows(stream, len(variables))
     n_events = len(codes)
     if window > n_events:

@@ -20,8 +20,8 @@ is the chain fit of the series; it is how ``fit.fit_soliton_chain``
 seeds a chain of a given pulse count (matching pursuit as the seed of a
 least-squares fit). The resulting sech^2 pulse estimates form
 sign-homogeneous groups (wave trains) that carry a linear peak trend,
-and ``redundancy_split`` turns the two trains into nonnegative opposing
-series whose difference reconstructs the extracted signal content.
+and ``redundancy_split`` turns the waves of either sign into nonnegative
+opposing series whose difference reconstructs the extracted signal content.
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fit import FitResult, TimeSeries, fit_soliton_chain, line_fit
-from .models import SolitonChainModel, SolitonComponent, soliton_eval, _sigmoid
+from .models import (SolitonChainModel, SolitonComponent, _match_input,
+                     _sigmoid, chain_eval, soliton_eval)
 
 DEFAULT_NUM_SCALES = 64
 DEFAULT_MAX_WAVES = 10
@@ -145,14 +146,12 @@ class RedundancyDecomposition:
     historical: np.ndarray
     synergetic: np.ndarray
     total: np.ndarray
-    positive_role: str
 
 
 def mother_wavelet(t):
     """Third derivative of the logistic sigmoid; even and zero-mean."""
     sig = _sigmoid(t)
-    out = sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig)
-    return float(out) if np.ndim(out) == 0 else out
+    return _match_input(sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig))
 
 
 def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
@@ -375,10 +374,9 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                 refit, result = _joint_refit(series, waves, seed, beta_hat)
                 if not _refit_sane(refit, series):
                     continue
-                reconstruction = np.zeros(len(series))
-                for wave in refit:
-                    reconstruction += soliton_eval(wave.to_component(),
-                                                   series.times)
+                reconstruction = chain_eval(
+                    SolitonChainModel(0.0, result.model.components),
+                    series.times)
                 energy = _centered_energy(series.values - reconstruction)
                 if energy > history[-1]:
                     continue
@@ -423,12 +421,12 @@ def group_wave_trains(waves) -> list[WaveTrain]:
     return trains
 
 
-def redundancy_split(trains, times, positive_role: str = "historical"
+def redundancy_split(waves, times, positive_role: str = "historical"
                      ) -> RedundancyDecomposition:
-    """Split the wave trains into opposing nonnegative series.
+    """Split the waves into opposing nonnegative series.
 
-    The positive-amplitude reconstruction at ``times`` and the magnitude
-    of the negative-amplitude reconstruction become the historical and
+    The chain of positive-amplitude pulses at ``times`` and the magnitude
+    of the chain of negative-amplitude pulses become the historical and
     synergetic parts; ``positive_role`` picks which is which (the sign
     convention differs between readings, so it stays configurable).
     The total is always historical - synergetic.
@@ -436,15 +434,13 @@ def redundancy_split(trains, times, positive_role: str = "historical"
     if positive_role not in ("historical", "synergetic"):
         raise ValueError("positive_role must be 'historical' or 'synergetic'")
     times = np.asarray(times, dtype=float)
-    positive = np.zeros(times.shape)
-    negative = np.zeros(times.shape)
-    for train in trains:
-        for wave in train.waves:
-            part = soliton_eval(wave.to_component(), times)
-            if wave.amplitude >= 0.0:
-                positive += part
-            else:
-                negative += part
+
+    def part(keep):
+        pulses = tuple(w.to_component() for w in waves if keep(w.amplitude))
+        return chain_eval(SolitonChainModel(0.0, pulses), times)
+
+    positive = part(lambda a: a >= 0.0)
+    negative = part(lambda a: a < 0.0)
     if positive_role == "historical":
         historical = positive
         synergetic = -negative
@@ -455,7 +451,6 @@ def redundancy_split(trains, times, positive_role: str = "historical"
         historical=historical,
         synergetic=synergetic,
         total=historical - synergetic,
-        positive_role=positive_role,
     )
 
 

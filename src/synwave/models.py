@@ -71,6 +71,17 @@ class SolitonChainModel:
         object.__setattr__(self, "components", comps)
 
 
+def _check_uniform_grid(name: str, g: np.ndarray) -> None:
+    """Raise unless the steps of ``g`` are strictly positive and constant
+    within 1e-9 relative."""
+    steps = np.diff(g)
+    if np.any(steps <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    h = steps[0] if steps.size else 0.0
+    if np.any(np.abs(steps - h) > 1e-9 * max(1.0, abs(h))):
+        raise ValueError(f"{name} must be uniformly spaced")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """2-D field sampled on a uniform (time, phase) grid.
@@ -89,12 +100,7 @@ class GridFunction:
         for name, g in (("x_grid", x), ("t_grid", t)):
             if g.ndim != 1 or g.size < 2:
                 raise ValueError(f"{name} must be 1-D with at least 2 points")
-            steps = np.diff(g)
-            if np.any(steps <= 0.0):
-                raise ValueError(f"{name} must be strictly increasing")
-            h = steps[0]
-            if np.any(np.abs(steps - h) > 1e-9 * max(1.0, abs(h))):
-                raise ValueError(f"{name} must have a constant step")
+            _check_uniform_grid(name, g)
         if v.shape != (t.size, x.size):
             raise ValueError(
                 f"values shape {v.shape} does not match (t={t.size}, x={x.size})"

@@ -352,16 +352,15 @@ class TestRedundancySplit:
         return lcwt.WaveEstimate(amplitude, k, center, (1.0, center, 1.0))
 
     def test_positive_only(self):
-        trains = lcwt.group_wave_trains([self.wave(5.0, 100.0)])
-        split = lcwt.redundancy_split(trains, np.arange(300, dtype=float))
+        split = lcwt.redundancy_split([self.wave(5.0, 100.0)],
+                                       np.arange(300, dtype=float))
         assert np.all(split.synergetic == 0.0)
         assert np.array_equal(split.total, split.historical)
 
     def test_mirrored_trains_cancel(self):
         waves = [self.wave(5.0, 100.0), self.wave(-5.0, 100.0),
                  self.wave(2.0, 220.0), self.wave(-2.0, 220.0)]
-        split = lcwt.redundancy_split(lcwt.group_wave_trains(waves),
-                                       np.arange(400, dtype=float))
+        split = lcwt.redundancy_split(waves, np.arange(400, dtype=float))
         assert np.abs(split.total).max() < 1e-10
 
     def test_empty_trains(self):
@@ -370,23 +369,21 @@ class TestRedundancySplit:
 
     def test_parts_nonnegative_and_difference_identity(self):
         waves = [self.wave(5.0, 80.0), self.wave(-3.0, 200.0)]
-        split = lcwt.redundancy_split(lcwt.group_wave_trains(waves),
-                                       np.arange(300, dtype=float))
+        split = lcwt.redundancy_split(waves, np.arange(300, dtype=float))
         assert np.all(split.historical >= 0.0)
         assert np.all(split.synergetic >= 0.0)
         assert np.abs(split.total - (split.historical - split.synergetic)).max() < 1e-12
 
     def test_role_mapping_configurable(self):
         waves = [self.wave(5.0, 80.0), self.wave(-3.0, 200.0)]
-        trains = lcwt.group_wave_trains(waves)
         times = np.arange(300, dtype=float)
-        default = lcwt.redundancy_split(trains, times)
-        swapped = lcwt.redundancy_split(trains, times,
+        default = lcwt.redundancy_split(waves, times)
+        swapped = lcwt.redundancy_split(waves, times,
                                         positive_role="synergetic")
         assert np.array_equal(default.historical, swapped.synergetic)
         assert np.array_equal(default.synergetic, swapped.historical)
         with pytest.raises(ValueError):
-            lcwt.redundancy_split(trains, times, positive_role="other")
+            lcwt.redundancy_split(waves, times, positive_role="other")
 
 
 class TestScalogramExport:
