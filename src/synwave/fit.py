@@ -1,4 +1,5 @@
-"""Least-squares fitting of pulse chains and their staircases, plus OLS.
+"""Least-squares fitting of pulse chains and their staircases, plus OLS,
+the one straight-line fit.
 
 One model in one parameterisation, (beta, then A, log k, c per pulse),
 fits differential data as a sech^2 chain and cumulative data as its
@@ -115,14 +116,18 @@ class FitResult:
 
 
 def ols(x, y) -> RegressionResult:
-    """Closed-form simple regression of y on x with an intercept."""
+    """Closed-form simple regression of y on x with an intercept, n >= 2.
+
+    Two points give an exact line; with no residual degrees of freedom
+    its adjusted r^2 and t-values are nan.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D and equally long")
     n = x.size
-    if n < 3:
-        raise ValueError("need at least 3 observations")
+    if n < 2:
+        raise ValueError("need at least 2 observations")
     x_mean = float(x.mean())
     y_mean = float(y.mean())
     sxx = float(((x - x_mean) ** 2).sum())
@@ -135,17 +140,21 @@ def ols(x, y) -> RegressionResult:
     sse = float((residuals ** 2).sum())
     sst = float(((y - y_mean) ** 2).sum())
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
-    sigma2 = sse / (n - 2)
-    se_slope = np.sqrt(sigma2 / sxx)
-    se_intercept = np.sqrt(sigma2 * (1.0 / n + x_mean ** 2 / sxx))
-    def t_ratio(coef, se):
-        if se > 0.0:
-            return coef / se
-        return 0.0 if coef == 0.0 else np.inf * np.sign(coef)
+    if n == 2:
+        adj_r2 = t_slope = t_intercept = float("nan")
+    else:
+        adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
+        sigma2 = sse / (n - 2)
+        se_slope = np.sqrt(sigma2 / sxx)
+        se_intercept = np.sqrt(sigma2 * (1.0 / n + x_mean ** 2 / sxx))
 
-    t_slope = t_ratio(slope, se_slope)
-    t_intercept = t_ratio(intercept, se_intercept)
+        def t_ratio(coef, se):
+            if se > 0.0:
+                return coef / se
+            return 0.0 if coef == 0.0 else np.inf * np.sign(coef)
+
+        t_slope = t_ratio(slope, se_slope)
+        t_intercept = t_ratio(intercept, se_intercept)
     return RegressionResult(
         slope=slope,
         intercept=intercept,
@@ -155,25 +164,6 @@ def ols(x, y) -> RegressionResult:
         n_observations=n,
         residuals=residuals,
     )
-
-
-def line_fit(x, y) -> tuple[float, float, float]:
-    """(slope, intercept, r_squared) of a straight line, valid for n >= 2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(((x - x_mean) ** 2).sum())
-    if sxx == 0.0:
-        raise ValueError("zero-variance x")
-    slope = float(((x - x_mean) * (y - y_mean)).sum()) / sxx
-    intercept = float(y_mean - slope * x_mean)
-    sst = float(((y - y_mean) ** 2).sum())
-    sse = float(((y - slope * x - intercept) ** 2).sum())
-    r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    return slope, intercept, r2
 
 
 def levenberg_marquardt(residual_fn, p0, jacobian_fn):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitResult, TimeSeries, fit_soliton_chain, line_fit
+from .fit import FitResult, TimeSeries, fit_soliton_chain, ols
 from .models import (SolitonChainModel, SolitonComponent, _match_input,
                      _sigmoid, chain_eval, soliton_eval)
 
@@ -304,18 +304,18 @@ def _seed_estimate(cell: tuple[float, float, float],
     """Map one scalogram cell to a raw pulse estimate.
 
     k comes from the scale calibration, the center from the translation,
-    and the amplitude from a linear pulse-plus-offset solve.
+    and the amplitude from a pulse-plus-offset line fit: the slope of the
+    series regressed on the unit pulse.
     """
     scale, translation, peak = cell
     # the scale is in samples, k is per time unit
     k0 = wavelet_scale_constant() / (scale * series.dt)
     template = soliton_eval(SolitonComponent(1.0, k0, translation), series.times)
-    design = np.column_stack([template, np.ones(len(series))])
-    (a0, _), *_ = np.linalg.lstsq(design, series.values, rcond=None)
+    a0 = ols(template, series.values).slope
     if not np.isfinite(a0) or a0 == 0.0:
         a0 = 1e-12
     return WaveEstimate(
-        amplitude=float(a0),
+        amplitude=a0,
         k=k0,
         center=translation,
         scalogram_peak=(scale, translation, peak),
@@ -412,11 +412,10 @@ def group_wave_trains(waves) -> list[WaveTrain]:
             continue
         trend = None
         if len(members) >= 2:
-            slope, intercept, r2 = line_fit(
-                [w.center for w in members],
-                [w.amplitude for w in members],
-            )
-            trend = {"slope": slope, "intercept": intercept, "r_squared": r2}
+            line = ols([w.center for w in members],
+                       [w.amplitude for w in members])
+            trend = {"slope": line.slope, "intercept": line.intercept,
+                     "r_squared": line.r_squared}
         trains.append(WaveTrain(sign=sign, waves=tuple(members), trend=trend))
     return trains
 

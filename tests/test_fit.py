@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synwave import fit, lcwt, models, synth
+from synwave import cli, fit, lcwt, models, synth
 
 from conftest import central_difference_jacobian, difference_steps
 
@@ -44,6 +46,19 @@ class TestOls:
         assert r.intercept == pytest.approx(1.0, abs=1e-12)
         assert r.r_squared == pytest.approx(1.0, abs=1e-12)
         assert np.abs(r.residuals).max() < 1e-10
+
+    def test_two_points_exact_line(self, tmp_path):
+        r = fit.ols([1.0, 3.0], [2.0, 8.0])
+        assert r.slope == 3.0
+        assert r.intercept == -1.0
+        assert r.r_squared == 1.0
+        assert np.isnan(r.adjusted_r_squared)
+        assert np.isnan(r.t_values).all()
+        path = tmp_path / "regression.json"
+        cli.write_json(path, r.to_dict())
+        written = json.loads(path.read_text(encoding="utf-8"))
+        assert written["adj_r2"] is None
+        assert written["t_values"] == [None, None]
 
     def test_seeded_noise_slope_insignificant(self):
         x = np.arange(100.0)
