@@ -11,14 +11,14 @@ over the line (admissible). The transform is the L2-normalized correlation
     W(a, b) = a^(-1/2) sum_t x(t) psi((t - b) / a) dt
 
 computed over a log-spaced scale grid with reflection padding at the
-boundaries. ``extract_waves`` repeats a locate / fit / subtract loop:
-each pass ranks the scalogram's local |W| maxima outside the boundary
-fringe, seeds a pulse at each of the strongest well-separated cells and
-keeps the best joint refit. A seed's k is kappa / scale, where kappa is
-one embedded constant that the tests re-derive. The last accepted refit
-is the chain fit of the series; it is how ``fit.fit_soliton_chain``
-seeds a chain of a given pulse count (matching pursuit as the seed of a
-least-squares fit). The resulting sech^2 pulse estimates form
+boundaries. ``extract_waves`` repeats a locate / fit / subtract loop
+whose only state is one chain, the accepted joint refit and each
+pulse's seed cell: each pass ranks the scalogram's local |W| maxima
+outside the boundary fringe, seeds a pulse at each of the
+strongest well-separated cells and keeps the best joint refit. A seed's
+k is kappa / scale, where kappa is one embedded constant that the tests
+re-derive. The last accepted refit is the chain fit of the series and
+seeds ``fit.fit_soliton_chain`` for a given pulse count. Its pulses form
 sign-homogeneous groups (wave trains) that carry a linear peak trend,
 and ``redundancy_split`` turns the waves of either sign into nonnegative
 opposing series whose difference reconstructs the extracted signal content.
@@ -168,8 +168,8 @@ def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
 def cwt(series: TimeSeries, scales=None) -> Scalogram:
     """L2-normalized wavelet coefficients at every (scale, sample time).
 
-    Boundaries are handled by reflecting the series over half the widest
-    kernel support. The per-scale correlations run through one shared
+    Boundaries are handled by reflecting the series over the widest
+    kernel's radius. The per-scale correlations run through one shared
     FFT of the padded signal, which keeps the result deterministic and
     fast for wide kernels.
     """
@@ -180,13 +180,11 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0.0):
         raise ValueError("scales must be positive")
-    x = series.values
-    n = x.size
+    n = len(series)
     dt = series.dt
-    radius_max = int(np.ceil(KERNEL_RADIUS_PER_SCALE * scales.max()))
-    pad = radius_max
-    padded = np.pad(x, pad, mode="reflect")
-    nfft = 1 << int(np.ceil(np.log2(padded.size + 2 * radius_max + 1)))
+    pad = int(np.ceil(KERNEL_RADIUS_PER_SCALE * scales.max()))
+    padded = np.pad(series.values, pad, mode="reflect")
+    nfft = 1 << int(np.ceil(np.log2(padded.size + 2 * pad + 1)))
     spectrum = np.fft.rfft(padded, nfft)
     coefficients = np.empty((scales.size, n))
     for row, a in enumerate(scales):
@@ -222,7 +220,7 @@ def _diff_noise_sigma(values: np.ndarray) -> float:
     return float(1.4826 * mad / np.sqrt(2.0))
 
 
-def _refit_sane(waves, series: TimeSeries) -> bool:
+def _refit_sane(pulses, series: TimeSeries) -> bool:
     """Reject degenerate refits: centers outside the window or pulses so
     wide they act as a baseline trend proxy."""
     span = float(series.times[-1] - series.times[0])
@@ -230,7 +228,7 @@ def _refit_sane(waves, series: TimeSeries) -> bool:
     lo = float(series.times[0]) - margin
     hi = float(series.times[-1]) + margin
     k_min = _HALF_MAX_CONST / (2.0 * span)
-    return all(lo <= w.center <= hi and w.k >= k_min for w in waves)
+    return all(lo <= p.center <= hi and p.k >= k_min for p in pulses)
 
 
 def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5
@@ -272,54 +270,22 @@ def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5
     return chosen
 
 
-def _joint_refit(series: TimeSeries, waves: list[WaveEstimate],
-                 candidate: WaveEstimate, beta0: float
-                 ) -> tuple[list[WaveEstimate], FitResult]:
-    """Refit all retained pulses plus the candidate against the series.
-
-    Matching-pursuit back-fitting: overlapping pulses settle into their
-    joint least-squares positions instead of accumulating greedy bias.
-    Seed scalogram peaks follow their wave by center order.
-    """
-    pool = sorted(waves + [candidate], key=lambda w: w.center)
-    init = SolitonChainModel(
-        beta=beta0,
-        components=tuple(w.to_component() for w in pool),
-    )
-    result = fit_soliton_chain(series, init=init)
-    refit = [
-        WaveEstimate(
-            amplitude=comp.amplitude,
-            k=comp.k,
-            center=comp.center,
-            scalogram_peak=seed.scalogram_peak,
-        )
-        for seed, comp in zip(pool, result.model.components)
-    ]
-    return refit, result
-
-
 def _seed_estimate(cell: tuple[float, float, float],
-                   series: TimeSeries) -> WaveEstimate:
+                   series: TimeSeries) -> SolitonComponent:
     """Map one scalogram cell to a raw pulse estimate.
 
     k comes from the scale calibration, the center from the translation,
     and the amplitude from a pulse-plus-offset line fit: the slope of the
     series regressed on the unit pulse.
     """
-    scale, translation, peak = cell
+    scale, translation, _ = cell
     # the scale is in samples, k is per time unit
     k0 = wavelet_scale_constant() / (scale * series.dt)
     template = soliton_eval(SolitonComponent(1.0, k0, translation), series.times)
     a0 = ols(template, series.values).slope
     if not np.isfinite(a0) or a0 == 0.0:
         a0 = 1e-12
-    return WaveEstimate(
-        amplitude=a0,
-        k=k0,
-        center=translation,
-        scalogram_peak=(scale, translation, peak),
-    )
+    return SolitonComponent(a0, k0, translation)
 
 
 def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
@@ -327,17 +293,20 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                   scales=None) -> ExtractionResult:
     """Iteratively locate, fit, and subtract the strongest pulse.
 
-    Each pass transforms the current residual, seeds candidates at the
-    strongest scalogram maxima, and keeps whichever joint refit of the
-    retained pulses explains the most energy; a weaker-|W| seed displaces
-    a stronger one only by more than 1e-9 of the energy. The first pass's
-    transform, that of the series itself, is computed even when no pass
-    runs and is returned as ``scalogram``. The loop stops when the rms of
-    the centered residual falls below ``energy_stop`` of the original
-    rms, when ``max_waves`` are retained, or when the next candidate
-    fails the retention gate (peak below 5 noise levels, or no
-    energy reduction). ``energy_history`` records centered sums of
-    squares, which are asserted non-increasing; ``low_confidence``
+    The state is one chain: the accepted joint refit plus the scalogram
+    cell that seeded each pulse, in center order. Each pass transforms the
+    current residual, seeds pulses at its strongest maxima and refits each
+    seed with the retained pulses (back-fitting: overlapping pulses settle
+    into joint least-squares positions instead of accumulating greedy
+    bias; seed cells follow their pulse by center order). The refit that
+    explains the most energy is kept; a weaker-|W| seed displaces a
+    stronger one only by more than 1e-9 of the energy. The first pass's
+    transform, that of the series itself, is returned as ``scalogram``.
+    The loop stops when the rms of the centered residual falls below
+    ``energy_stop`` of the original rms, when ``max_waves`` are retained,
+    or when no seed (amplitude at least 5 noise levels) gives a sane
+    refit that reduces the energy. ``energy_history`` records centered
+    sums of squares, which are asserted non-increasing; ``low_confidence``
     flags runs that left more than half of that energy unexplained.
     """
     if max_waves < 1:
@@ -345,34 +314,31 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     if not 0.0 < energy_stop < 1.0:
         raise ValueError("energy_stop must lie in (0, 1)")
     first = cwt(series, scales)
-    scales = first.scales
 
     residual = series.values.copy()
     original_energy = _centered_energy(residual)
     history = [original_energy]
-    waves: list[WaveEstimate] = []
     chain_fit = None
-    beta_hat = float(series.values.mean())
+    cells: list[tuple[float, float, float]] = []
     if original_energy > 0.0:
-        while len(waves) < max_waves:
+        while len(cells) < max_waves:
             if np.sqrt(history[-1] / original_energy) < energy_stop:
                 break
             current = TimeSeries(series.times, residual)
-            scalogram = first if not waves else cwt(current, scales)
-            cells = _candidate_cells(scalogram, count=3)
+            scalogram = cwt(current, first.scales) if chain_fit else first
             noise = _diff_noise_sigma(residual)
-            seeds = []
-            for cell in cells:
+            chain = (SolitonChainModel(float(series.values.mean()), ())
+                     if chain_fit is None else chain_fit.model)
+            best = None
+            for cell in _candidate_cells(scalogram, count=3):
                 seed = _seed_estimate(cell, current)
                 if noise > 0.0 and abs(seed.amplitude) < _SNR * noise:
                     continue
-                seeds.append(seed)
-            if not seeds:
-                break
-            best = None
-            for seed in seeds:
-                refit, result = _joint_refit(series, waves, seed, beta_hat)
-                if not _refit_sane(refit, series):
+                pool = sorted(zip((*chain.components, seed), (*cells, cell)),
+                              key=lambda pair: pair[0].center)
+                result = fit_soliton_chain(series, init=SolitonChainModel(
+                    chain.beta, tuple(pulse for pulse, _ in pool)))
+                if not _refit_sane(result.model.components, series):
                     continue
                 reconstruction = chain_eval(
                     SolitonChainModel(0.0, result.model.components),
@@ -381,16 +347,19 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                 if energy > history[-1]:
                     continue
                 if best is None or energy < best[0] * (1.0 - _ENERGY_TIE):
-                    best = (energy, refit, result, reconstruction)
+                    best = (energy, result, [c for _, c in pool],
+                            reconstruction)
             if best is None:
                 break
-            next_energy, waves, chain_fit, reconstruction = best
-            beta_hat = chain_fit.model.beta
+            next_energy, chain_fit, cells, reconstruction = best
             residual = series.values - reconstruction
             history.append(next_energy)
+    waves = () if chain_fit is None else tuple(
+        WaveEstimate(p.amplitude, p.k, p.center, cell)
+        for p, cell in zip(chain_fit.model.components, cells))
     explained = 1.0 - history[-1] / original_energy if original_energy > 0 else 0.0
     return ExtractionResult(
-        waves=tuple(waves),
+        waves=waves,
         residual=TimeSeries(series.times, residual),
         energy_history=tuple(history),
         low_confidence=explained < 0.5,

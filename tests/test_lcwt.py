@@ -221,6 +221,10 @@ class TestExtractWaves:
         history = np.array(result.energy_history)
         assert np.all(np.diff(history) <= 0.0)
         assert not result.low_confidence
+        # the waves are the accepted chain fit, field for field
+        assert [(w.amplitude, w.k, w.center) for w in result.waves] == [
+            (c.amplitude, c.k, c.center)
+            for c in result.fit.model.components]
 
     def test_reconstruction_identity(self):
         series = synth.corn_like_series(33)
