@@ -11,10 +11,11 @@ over the line (admissible). The transform is the L2-normalized correlation
     W(a, b) = a^(-1/2) sum_t x(t) psi((t - b) / a) dt
 
 computed over a log-spaced scale grid with reflection padding at the
-boundaries. ``extract_waves`` repeats a locate / fit / subtract loop
-whose only state is one chain, the accepted joint refit and each
-pulse's seed cell: each pass ranks the scalogram's local |W| maxima
-outside the boundary fringe, seeds a pulse at each of the
+boundaries. Each sampled kernel sums to zero, so a constant offset
+contributes nothing at any scale. ``extract_waves`` repeats a locate /
+fit / subtract loop whose only state is one chain, the accepted joint
+refit and each pulse's seed cell: each pass ranks the scalogram's local
+|W| maxima outside the boundary fringe, seeds a pulse at each of the
 strongest well-separated cells and keeps the best joint refit. A seed's
 k is kappa / scale, where kappa is one embedded constant that the tests
 re-derive. The last accepted refit is the chain fit of the series and
@@ -168,10 +169,12 @@ def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
 def cwt(series: TimeSeries, scales=None) -> Scalogram:
     """L2-normalized wavelet coefficients at every (scale, sample time).
 
-    Boundaries are handled by reflecting the series over the widest
-    kernel's radius. The per-scale correlations run through one shared
-    FFT of the padded signal, which keeps the result deterministic and
-    fast for wide kernels.
+    Each sampled kernel is shifted to sum to zero, as the mother wavelet
+    integrates to zero; at sub-sample scales the samples alone do not, and
+    a constant offset would leak into the finest rows. Boundaries are
+    handled by reflecting the series over the widest kernel's radius. The
+    per-scale correlations run through one shared FFT of the padded
+    signal, which keeps the result deterministic and fast for wide kernels.
     """
     if len(series) < 2:
         raise ValueError("series too short for a transform")
@@ -191,6 +194,7 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
         radius = max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
         u = np.arange(-radius, radius + 1, dtype=float)
         kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
+        kernel -= kernel.mean()
         # correlation = convolution with the reversed kernel
         kernel_fft = np.fft.rfft(kernel[::-1], nfft)
         conv = np.fft.irfft(spectrum * kernel_fft, nfft)

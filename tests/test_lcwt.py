@@ -103,9 +103,16 @@ class TestCwt:
             radius = max(int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * a)), 2)
             u = np.arange(-radius, radius + 1, dtype=float)
             kernel = lcwt.mother_wavelet(u / a) / np.sqrt(a)
+            kernel -= kernel.mean()
             direct = np.convolve(padded, kernel[::-1], mode="full")
             direct = direct[pad + radius: pad + radius + 200]
             assert np.abs(direct - scalogram.coefficients[row]).max() < 1e-12
+
+    def test_constant_series_has_no_content(self):
+        # the sampled kernels sum to zero even at sub-sample scales
+        c = 300.0
+        series = fit.TimeSeries(np.arange(241.0), np.full(241, c))
+        assert np.abs(lcwt.cwt(series).coefficients).max() <= 1e-9 * c
 
     def test_translation_covariance(self):
         shift = 37
@@ -260,6 +267,36 @@ class TestExtractWaves:
             assert ws.center == pytest.approx(c * wb.center, rel=1e-5)
             assert ws.k == pytest.approx(wb.k / c, rel=1e-5)
             assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-5)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 39), c=st.floats(-1e4, 1e4))
+    @example(seed=33, c=300.0)
+    def test_constant_offset_invariance(self, seed, c):
+        series = synth.corn_like_series(seed)
+        base = lcwt.extract_waves(series)
+        shifted = lcwt.extract_waves(
+            fit.TimeSeries(series.times, series.values + c))
+        assert len(shifted.waves) == len(base.waves)
+        for ws, wb in zip(shifted.waves, base.waves):
+            assert ws.scalogram_peak[:2] == wb.scalogram_peak[:2]
+            assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-9)
+            assert ws.k == pytest.approx(wb.k, rel=1e-9)
+            assert ws.center == pytest.approx(wb.center, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", [300.0, 3000.0])
+    def test_weak_broad_pulse_found_on_a_baseline(self, beta):
+        # a 9-sigma pulse at t = 200 next to two strong ones; a baseline
+        # must not raise a flat finest-scale row above it
+        times = np.arange(241.0)
+        clean = models.chain_eval(models.SolitonChainModel(beta, (
+            models.SolitonComponent(370.0, 0.02, 60.0),
+            models.SolitonComponent(208.0, 0.04, 130.0),
+            models.SolitonComponent(28.0, 0.05, 200.0))), times)
+        for seed in range(10):
+            noise = 3.0 * np.random.default_rng(seed).standard_normal(241)
+            result = lcwt.extract_waves(fit.TimeSeries(times, clean + noise),
+                                        max_waves=3, energy_stop=1e-9)
+            assert any(abs(w.center - 200.0) <= 5.0 for w in result.waves), seed
 
     def test_round_off_ties_keep_the_stronger_seed(self):
         # on these seeds two candidates of one pass converge to the same
