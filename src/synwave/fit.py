@@ -345,6 +345,8 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
     if init is None:
         if n is None:
             raise ValueError("give a component count or an initial model")
+        if n < 1:
+            raise ValueError("component count must be at least 1")
         # imported here because lcwt imports this module
         from .lcwt import extract_waves
         result = extract_waves(series, max_waves=n).fit

@@ -28,6 +28,7 @@ def write_two_series_csv(path):
 # runs that exit 1 on an option value; none may leave its --out-dir behind
 FAILING_RUNS = [
     (["cwt", "--max-waves", "0"], "max_waves must be at least 1"),
+    (["fit", "--components", "0"], "component count must be at least 1"),
     (["cwt", "--scales", "0"], "need at least 1 scale"),
     (["pipeline", "--scales", "0"], "need at least 1 scale"),
     (["pipeline", "--lags", "500"], "too short for 500 lags"),
