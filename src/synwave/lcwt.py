@@ -331,8 +331,8 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
             current = TimeSeries(series.times, residual)
             scalogram = cwt(current, first.scales) if chain_fit else first
             noise = _diff_noise_sigma(residual)
-            chain = (SolitonChainModel(float(series.values.mean()), ())
-                     if chain_fit is None else chain_fit.model)
+            chain = (chain_fit.model if chain_fit
+                     else SolitonChainModel(float(series.values.mean()), ()))
             best = None
             for cell in _candidate_cells(scalogram, count=3):
                 seed = _seed_estimate(cell, current)
