@@ -303,6 +303,12 @@ def _standard_errors(jac: np.ndarray, sse: float) -> np.ndarray:
     return errors
 
 
+def max_pulses(samples: int) -> int:
+    """Most pulses a chain fit takes on this many samples: 3 parameters a
+    pulse plus beta, and more samples than parameters (3p + 1 < samples)."""
+    return (samples - 2) // 3
+
+
 def _fit_chain(series: TimeSeries, init: SolitonChainModel,
                evaluate, partials) -> FitResult:
     """Fit ``evaluate(model, times)`` to the series, starting from ``init``.
@@ -313,7 +319,7 @@ def _fit_chain(series: TimeSeries, init: SolitonChainModel,
     error is mapped back from log space as k * se(log k).
     """
     n = len(init.components)
-    if len(series) <= 3 * n + 1:
+    if n > max_pulses(len(series)):
         raise ValueError(f"series too short to fit {n} components")
 
     def residual_fn(params):

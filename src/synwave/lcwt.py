@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitResult, TimeSeries, fit_soliton_chain, ols
+from .fit import FitResult, TimeSeries, fit_soliton_chain, max_pulses, ols
 from .models import (SolitonChainModel, SolitonComponent, _match_input,
                      _sigmoid, chain_eval, soliton_eval)
 
@@ -307,16 +307,21 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     stronger one only by more than 1e-9 of the energy. The first pass's
     transform, that of the series itself, is returned as ``scalogram``.
     The loop stops when the rms of the centered residual falls below
-    ``energy_stop`` of the original rms, when ``max_waves`` are retained,
-    or when no seed (amplitude at least 5 noise levels) gives a sane
-    refit that reduces the energy. ``energy_history`` records centered
-    sums of squares, which are asserted non-increasing; ``low_confidence``
-    flags runs that left more than half of that energy unexplained.
+    ``energy_stop`` of the original rms, when ``max_waves`` are retained
+    or as many as the series has room for (``max_pulses``), or when no
+    seed (amplitude at least 5 noise levels) gives a sane refit that
+    reduces the energy. A series with room for no pulse (fewer than 5
+    samples) raises. ``energy_history`` records centered sums of squares,
+    which are asserted non-increasing; ``low_confidence`` flags runs that
+    left more than half of that energy unexplained.
     """
     if max_waves < 1:
         raise ValueError("max_waves must be at least 1")
     if not 0.0 < energy_stop < 1.0:
         raise ValueError("energy_stop must lie in (0, 1)")
+    capacity = min(max_waves, max_pulses(len(series)))
+    if capacity < 1:
+        raise ValueError("series too short to fit a pulse")
     first = cwt(series, scales)
 
     residual = series.values.copy()
@@ -325,7 +330,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     chain_fit = None
     cells: list[tuple[float, float, float]] = []
     if original_energy > 0.0:
-        while len(cells) < max_waves:
+        while len(cells) < capacity:
             if np.sqrt(history[-1] / original_energy) < energy_stop:
                 break
             current = TimeSeries(series.times, residual)

@@ -333,6 +333,29 @@ class TestExtractWaves:
         with pytest.raises(ValueError):
             lcwt.extract_waves(fit.TimeSeries(np.zeros(1), np.ones(1)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_series_without_room_for_a_pulse_rejected(self, n):
+        # a pulse and beta are 4 parameters; 4 samples leave no residual
+        series = fit.TimeSeries(np.arange(float(n)), np.arange(float(n)) ** 2)
+        with pytest.raises(ValueError, match="too short to fit a pulse"):
+            lcwt.extract_waves(series)
+
+    def test_extraction_stops_when_the_series_has_no_room(self):
+        # 16 samples fit at most 4 pulses; with a tiny energy_stop the
+        # extraction keeps 4 waves instead of failing on a fifth pass
+        times = np.arange(16.0)
+        clean = models.chain_eval(models.SolitonChainModel(5.0, (
+            models.SolitonComponent(-26.434, 0.8, 4.401),
+            models.SolitonComponent(70.999, 0.8, 4.880),
+            models.SolitonComponent(33.153, 0.8, 11.585))), times)
+        noise = 0.01 * np.random.default_rng(0).standard_normal(16)
+        series = fit.TimeSeries(times, clean + noise)
+        result = lcwt.extract_waves(series, energy_stop=1e-9)
+        capped = lcwt.extract_waves(series, max_waves=4, energy_stop=1e-9)
+        assert fit.max_pulses(len(series)) == 4
+        assert len(result.waves) == 4
+        assert result.waves == capped.waves
+
     def test_invalid_bounds_rejected(self):
         series = pulse_series(n=256, center=128.0)
         with pytest.raises(ValueError):
