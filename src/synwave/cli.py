@@ -5,14 +5,15 @@ Subcommands map one-to-one onto the analysis stages: ``entropy`` and
 for numeric series, ``pipeline`` for the whole chain, and ``synth`` for
 seeded generators. Exit codes: 0 success, 1 input or configuration
 error or no wave found, 2 pipeline completed but failed validation (a
-low-confidence extraction or no cointegration). Each handler computes
-all of its results before it creates the output directory, so an exit
-1 writes nothing.
+low-confidence extraction or no cointegration).
 
-Every artifact records the parsed command line (the subcommand and every
-option, the seed included) without the output directory, so re-running
-an identical command reproduces byte-identical files wherever they are
-written.
+Each handler only computes: it returns its exit code, the files to write
+and its console lines, or raises on bad input. ``main`` alone creates the
+output directory, after the handler returns, writes every file and prints
+one ``wrote`` line per file, so an exit 1 writes nothing. Every artifact
+records the parsed command line (the subcommand and every option, the
+seed included) without the output directory, so re-running an identical
+command reproduces byte-identical files wherever they are written.
 """
 from __future__ import annotations
 
@@ -216,62 +217,77 @@ def _resolve_out_dir(arg_value) -> Path:
     return path
 
 
+def _write_file(path: Path, body, config: dict) -> None:
+    """Write one artifact with ``config``: a dict as JSON under the
+    ``config`` key, a ``(header, columns)`` pair as CSV with ``#`` config
+    lines and ``repr``'d cells, and a writer ``(path, comments)`` by
+    calling it with the config lines."""
+    comments = _config_comments(config)
+    if isinstance(body, dict):
+        write_json(path, {"config": config, **body})
+    elif callable(body):
+        body(path, comments)
+    else:
+        header, columns = body
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"# {line}\n" for line in comments)
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in zip(*columns))
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, files, console lines) and
+# writes nothing; ``main`` writes the files (see ``_write_file``)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     series, params = synth.synthetic_series(args.kind, args.seed, args.n)
-    out_dir = _resolve_out_dir(args.out_dir)
-    path = out_dir / f"{args.kind.replace('-', '_')}_{args.seed}.csv"
-    synth.write_series_csv(path, series, params)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {
+        f"{args.kind.replace('-', '_')}_{args.seed}.csv":
+            lambda path, _: synth.write_series_csv(path, series, params),
+    }, []
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args):
     variables, rows = read_categorical_csv(args.input, args.subset or None)
     table = infotheory.from_observations(rows, variables)
     subsets = [variables]
     if len(variables) > 1:
         subsets = [variables] + [(v,) for v in variables]
     reports = [infotheory.information_report(table, s) for s in subsets]
-    out_dir = _resolve_out_dir(args.out_dir)
-    path = out_dir / "entropy_report.json"
-    write_json(path, {"config": _config(args),
-                      "reports": [report.to_dict() for report in reports]})
+    lines = []
     for report in reports:
         t = report.mutual_information_bits
-        print(f"subset={','.join(report.subset)} H={_fmt(report.entropy_bits)}"
-              + (f" T={_fmt(t)} R={_fmt(report.redundancy_bits)}"
-                 if t is not None else ""))
-    print(f"wrote {path}")
-    return EXIT_OK
+        lines.append(
+            f"subset={','.join(report.subset)} H={_fmt(report.entropy_bits)}"
+            + (f" T={_fmt(t)} R={_fmt(report.redundancy_bits)}"
+               if t is not None else ""))
+    return EXIT_OK, {"entropy_report.json": {
+        "reports": [report.to_dict() for report in reports]}}, lines
 
 
-def _cmd_synergy(args) -> int:
+def _cmd_synergy(args):
     variables, rows = read_categorical_csv(args.input)
     subset = tuple(args.subset) if args.subset else variables
     series = infotheory.synergy_indicator(
         rows, variables, subset, args.window, args.stride)
-    out_dir = _resolve_out_dir(args.out_dir)
-    path = out_dir / "synergy.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _config_comments(_config(args)):
-            fh.write(f"# {line}\n")
-        fh.write("window_start,redundancy_bits\n")
-        for start, value in zip(series.window_starts.tolist(),
-                                series.redundancy_bits.tolist()):
-            fh.write(f"{start},{value!r}\n")
-    print(f"{series.window_starts.size} windows, "
-          f"mean R={_fmt(float(series.redundancy_bits.mean()))}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"synergy.csv": (
+        ("window_start", "redundancy_bits"),
+        (series.window_starts.tolist(), series.redundancy_bits.tolist()),
+    )}, [f"{series.window_starts.size} windows, "
+         f"mean R={_fmt(float(series.redundancy_bits.mean()))}"]
 
 
 def _lags(value: str):
     """The ``--lags`` option: ``"auto"`` or a lag count."""
-    return "auto" if value == "auto" else int(value)
+    if value == "auto":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"--lags takes auto or a whole number, not {value!r}"
+                         ) from None
 
 
 def _chain_regression(series: TimeSeries, result: FitResult
@@ -281,10 +297,8 @@ def _chain_regression(series: TimeSeries, result: FitResult
     return predictions, ols(predictions, series.values)
 
 
-def _fit_payload(result: FitResult, regression: RegressionResult,
-                 config: dict) -> dict:
+def _fit_payload(result: FitResult, regression: RegressionResult) -> dict:
     return {
-        "config": config,
         "beta": result.model.beta,
         "components": [
             {"A": c.amplitude, "k": c.k, "center": c.center}
@@ -298,106 +312,80 @@ def _fit_payload(result: FitResult, regression: RegressionResult,
     }
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     series = _read_series(args)
     result = fit_soliton_chain(series, args.components)
     _, regression = _chain_regression(series, result)
-    out_dir = _resolve_out_dir(args.out_dir)
-    path = out_dir / "fit_report.json"
-    write_json(path, _fit_payload(result, regression, _config(args)))
-    print(f"beta={_fmt(result.model.beta)} sse={_fmt(result.sse)} "
-          f"converged={result.converged}")
-    for comp in result.model.components:
-        print(f"  A={_fmt(comp.amplitude)} k={_fmt(comp.k)} "
-              f"center={_fmt(comp.center)}")
-    print(f"R2={_fmt(regression.r_squared)}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    lines = [f"beta={_fmt(result.model.beta)} sse={_fmt(result.sse)} "
+             f"converged={result.converged}"]
+    lines.extend(f"  A={_fmt(comp.amplitude)} k={_fmt(comp.k)} "
+                 f"center={_fmt(comp.center)}"
+                 for comp in result.model.components)
+    lines.append(f"R2={_fmt(regression.r_squared)}")
+    return EXIT_OK, {"fit_report.json": _fit_payload(result, regression)}, lines
 
 
-def _extract(series: TimeSeries, args) -> lcwt.ExtractionResult:
-    """Wave extraction as the cwt options of ``args`` ask."""
-    return lcwt.extract_waves(
+def _extract(series: TimeSeries, args) -> tuple[lcwt.ExtractionResult, dict]:
+    """Wave extraction as the cwt options of ``args`` ask, and its files:
+    the scalogram (CSV, and SVG under ``--svg``) and the wave trains."""
+    extraction = lcwt.extract_waves(
         series, max_waves=args.max_waves, energy_stop=args.energy_stop,
         scales=lcwt.default_scales(len(series), args.scales))
-
-
-def _write_cwt(extraction: lcwt.ExtractionResult,
-               trains: list[lcwt.WaveTrain], args, out_dir: Path) -> None:
-    """Write the scalogram and the wave trains to ``out_dir``."""
-    config = _config(args)
-    comments = _config_comments(config)
-    lcwt.scalogram_to_csv(extraction.scalogram, out_dir / "scalogram.csv",
-                          comments)
+    scalogram = extraction.scalogram
+    files = {"scalogram.csv": lambda path, comments: lcwt.scalogram_to_csv(
+        scalogram, path, comments)}
     if args.svg:
-        lcwt.scalogram_to_svg(extraction.scalogram, out_dir / "scalogram.svg",
-                              comments=comments)
-    write_json(out_dir / "wave_trains.json", {
-        "config": config,
+        files["scalogram.svg"] = lambda path, comments: lcwt.scalogram_to_svg(
+            scalogram, path, comments=comments)
+    files["wave_trains.json"] = {
         "waves": [w.to_dict() for w in extraction.waves],
-        "trains": [t.to_dict() for t in trains],
+        "trains": [t.to_dict()
+                   for t in lcwt.group_wave_trains(extraction.waves)],
         "low_confidence": extraction.low_confidence,
         "energy_history": list(extraction.energy_history),
-    })
+    }
+    return extraction, files
 
 
-def _cmd_cwt(args) -> int:
-    series = _read_series(args)
-    extraction = _extract(series, args)
-    trains = lcwt.group_wave_trains(extraction.waves)
-    out_dir = _resolve_out_dir(args.out_dir)
-    _write_cwt(extraction, trains, args, out_dir)
-    print(f"{len(extraction.waves)} waves retained, "
-          f"low_confidence={extraction.low_confidence}")
-    print(f"wrote {out_dir / 'scalogram.csv'} and "
-          f"{out_dir / 'wave_trains.json'}")
-    return EXIT_OK
+def _cmd_cwt(args):
+    extraction, files = _extract(_read_series(args), args)
+    return EXIT_OK, files, [f"{len(extraction.waves)} waves retained, "
+                            f"low_confidence={extraction.low_confidence}"]
 
 
-def _cmd_adf(args) -> int:
+def _cmd_adf(args):
     series = _read_series(args)
     result = stats.adf_test(series, _lags(args.lags), args.kind)
-    out_dir = _resolve_out_dir(args.out_dir)
-    payload = {"config": _config(args), **result.to_dict()}
-    path = out_dir / "adf.json"
-    write_json(path, payload)
-    print(f"statistic={_fmt(result.statistic)} lags={result.lags_used} "
-          f"reject_at={result.reject_at}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"adf.json": result.to_dict()}, [
+        f"statistic={_fmt(result.statistic)} lags={result.lags_used} "
+        f"reject_at={result.reject_at}"]
 
 
-def _cmd_coint(args) -> int:
+def _cmd_coint(args):
     y = ingest_timeseries(args.input, args.y_column, args.time_column,
                           args.fill)
     x = ingest_timeseries(args.input, args.x_column, args.time_column,
                           args.fill)
     result = stats.engle_granger(y, x)
-    out_dir = _resolve_out_dir(args.out_dir)
-    payload = {"config": _config(args), **result.to_dict()}
-    path = out_dir / "cointegration.json"
-    write_json(path, payload)
-    print(f"cointegrated_at={result.cointegrated_at} "
-          f"stat={_fmt(result.residual_adf.statistic)}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"cointegration.json": result.to_dict()}, [
+        f"cointegrated_at={result.cointegrated_at} "
+        f"stat={_fmt(result.residual_adf.statistic)}"]
 
 
-def run_pipeline(args) -> int:
+def run_pipeline(args):
     """Extract, split, and validate one series end to end.
 
-    The pulse chain is the extraction's last joint refit. Every stage
-    runs before the output directory is made, so an input error (no
-    wave found, a bad lag order) writes nothing.
+    The pulse chain is the extraction's last joint refit. An input error
+    (no wave found, a bad lag order) raises; a run that completes returns
+    every file, and exit code 2 if validation failed.
     """
     series = _read_series(args)
 
     # stage 1: scalogram and iterative wave extraction
-    extraction = _extract(series, args)
+    extraction, files = _extract(series, args)
     chain_fit = extraction.fit
     if chain_fit is None:
         raise ValueError("no wave found")
-    trains = lcwt.group_wave_trains(extraction.waves)
 
     # stage 2: the extracted chain and its regression diagnostics
     predictions, regression = _chain_regression(series, chain_fit)
@@ -422,30 +410,20 @@ def run_pipeline(args) -> int:
     }
     passed = all(checks.values())
 
-    out_dir = _resolve_out_dir(args.out_dir)
-    config = _config(args)
-    _write_cwt(extraction, trains, args, out_dir)
-    write_json(out_dir / "fit_report.json",
-               _fit_payload(chain_fit, regression, config))
-    write_json(out_dir / "regression_report.json",
-               {"config": config, **regression.to_dict()})
+    files["fit_report.json"] = _fit_payload(chain_fit, regression)
+    files["regression_report.json"] = regression.to_dict()
     if args.svg:
-        write_line_plot(out_dir / "decomposition.svg", series.times, {
-            "data": (series.values, "#888888"),
-            "fitted chain": (predictions, "#d62728"),
-            "extraction residual": (extraction.residual.values, "#1f77b4"),
-        }, comments=_config_comments(config))
-    with open(out_dir / "redundancy.csv", "w", encoding="utf-8") as fh:
-        for line in _config_comments(config):
-            fh.write(f"# {line}\n")
-        fh.write("t,historical,synergetic,total\n")
-        hist = split.historical.tolist()
-        syn = split.synergetic.tolist()
-        total = split.total.tolist()
-        for i, t in enumerate(series.times.tolist()):
-            fh.write(f"{t!r},{hist[i]!r},{syn[i]!r},{total[i]!r}\n")
-    write_json(out_dir / "validation.json", {
-        "config": config,
+        files["decomposition.svg"] = lambda path, comments: write_line_plot(
+            path, series.times, {
+                "data": (series.values, "#888888"),
+                "fitted chain": (predictions, "#d62728"),
+                "extraction residual": (extraction.residual.values, "#1f77b4"),
+            }, comments)
+    files["redundancy.csv"] = (
+        ("t", "historical", "synergetic", "total"),
+        (series.times.tolist(), split.historical.tolist(),
+         split.synergetic.tolist(), split.total.tolist()))
+    files["validation.json"] = {
         "adf_data": adf_data.to_dict(),
         "engle_granger": cointegration.to_dict() if cointegration else None,
         "engle_granger_error": validation_error,
@@ -457,14 +435,14 @@ def run_pipeline(args) -> int:
         "low_confidence": extraction.low_confidence,
         "checks": checks,
         "passed": passed,
-    })
-
-    print(f"fit: beta={_fmt(chain_fit.model.beta)} "
-          f"R2={_fmt(regression.r_squared)}")
-    print(f"extraction: {len(extraction.waves)} waves, "
-          f"low_confidence={extraction.low_confidence}")
-    print(f"validation: passed={passed}")
-    return EXIT_OK if passed else EXIT_VALIDATION_FAILED
+    }
+    return EXIT_OK if passed else EXIT_VALIDATION_FAILED, files, [
+        f"fit: beta={_fmt(chain_fit.model.beta)} "
+        f"R2={_fmt(regression.r_squared)}",
+        f"extraction: {len(extraction.waves)} waves, "
+        f"low_confidence={extraction.low_confidence}",
+        f"validation: passed={passed}",
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,10 +544,18 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
         return EXIT_INPUT_ERROR if code == 2 else code
     try:
-        return args.handler(args)
+        code, files, lines = args.handler(args)
+        out_dir = _resolve_out_dir(args.out_dir)
+        config = _config(args)
+        for line in lines:
+            print(line)
+        for name, body in files.items():
+            _write_file(out_dir / name, body, config)
+            print(f"wrote {out_dir / name}")
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,12 @@ FAILING_RUNS = [
     (["pipeline", "--scales", "0"], "need at least 1 scale"),
     (["pipeline", "--lags", "500"], "too short for 500 lags"),
     (["pipeline", "--lags", "-2"], "lag order must be nonnegative"),
+    (["adf", "--lags", "-2"], "lag order must be nonnegative"),
+    (["adf", "--lags", "abc"], "--lags takes auto or a whole number"),
+    (["coint", "--y-column", "value", "--x-column", "nope"],
+     "column 'nope' not in header"),
+    (["entropy", "--subset", "nope"], "column 'nope' not in header"),
+    (["synergy", "--window", "4"], "window must be at least 8 samples"),
     (["synth", "--kind", "noise", "--n", "-1"], "n must be at least 1"),
     (["synth", "--kind", "corn-like", "--n", "0"], "n must be at least 1"),
 ]
@@ -338,6 +344,26 @@ class TestPipeline:
         validation = json.loads((out / "validation.json").read_text())
         assert not validation["fit"]["degenerate"]
 
+    def test_failed_validation_still_writes_every_file(self, tmp_path,
+                                                       capsys):
+        # patent-like seed 0 is not cointegrated with its fitted chain
+        data = tmp_path / "patent.csv"
+        synth.generate_synthetic("patent-like", 0, data)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--input", str(data),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        names = {"fit_report.json", "regression_report.json",
+                 "scalogram.csv", "wave_trains.json", "redundancy.csv",
+                 "validation.json"}
+        assert {path.name for path in out.iterdir()} == names
+        validation = json.loads((out / "validation.json").read_text())
+        assert validation["passed"] is False
+        assert not validation["checks"]["cointegrated"]
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert sorted(wrote) == sorted(f"wrote {out / name}" for name in names)
+
     def test_missing_input_exits_one(self, tmp_path, capsys):
         rc = cli.main(["pipeline", "--input", str(tmp_path / "nope.csv"),
                        "--out-dir", str(tmp_path / "run")])
@@ -407,7 +433,7 @@ class TestConfig:
         ["pipeline", "--svg"], ["fit"], ["cwt", "--svg"], ["adf"],
         ["coint", "--y-column", "a", "--x-column", "b"],
     ], ids=lambda argv: argv[0])
-    def test_files_do_not_depend_on_out_dir(self, tmp_path, argv):
+    def test_files_do_not_depend_on_out_dir(self, tmp_path, capsys, argv):
         data = write_two_series_csv(tmp_path / "two.csv")
         written = []
         for name in ("one", "two"):
@@ -415,4 +441,8 @@ class TestConfig:
             assert cli.main([*argv, "--input", str(data),
                              "--out-dir", str(out)]) == 0
             written.append({p.name: p.read_bytes() for p in out.iterdir()})
+            # one wrote line per file in the output directory, no more
+            wrote = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("wrote ")]
+            assert sorted(wrote) == sorted(f"wrote {p}" for p in out.iterdir())
         assert written[0] == written[1]
