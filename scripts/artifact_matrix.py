@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of synwave commands and keep everything they leave.
+
+    python scripts/artifact_matrix.py OUT_DIR
+
+Every run calls ``cli.main`` of this checkout's ``src`` from inside
+OUT_DIR with relative paths, so the tree depends only on the code. Run
+NAME writes its artifacts to ``NAME/out`` and its exit code, stdout and
+stderr to ``NAME/exit_code``, ``NAME/stdout`` and ``NAME/stderr``. Two
+checkouts make the same artifacts when ``diff -r`` finds their trees
+equal:
+
+    mkdir base && git archive BASE | tar -x -C base
+    python base/scripts/artifact_matrix.py matrix-base
+    python scripts/artifact_matrix.py matrix-head
+    diff -r matrix-base matrix-head
+
+The runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
+``fit`` and ``adf`` on corn-like seeds 0-19 and 33; ``pipeline`` on
+patent-like seeds 0-3 (exit 2); ``coint``, ``entropy`` and ``synergy``;
+and every exit-1 case of ``FAILING_RUNS`` in tests/test_cli.py. The
+script exits 1 when a run's exit code is not the expected one.
+"""
+import argparse
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from synwave import cli  # noqa: E402
+from test_cli import (FAILING_RUNS, write_pair_csv,  # noqa: E402
+                      write_two_series_csv)
+
+CORN_SEEDS = [*range(20), 33]
+PATENT_SEEDS = range(4)
+
+
+def synth_csv(kind: str, seed: int) -> str:
+    """Relative path of the series that run ``synth/KIND_SEED`` writes."""
+    return f"synth/{kind}_{seed}/out/{kind.replace('-', '_')}_{seed}.csv"
+
+
+def write_xor_csv(path):
+    """Binary columns ``a`` and ``b`` (seeded) and ``c = a xor b``."""
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, 2, (2, 256)).tolist()
+    path.write_text("a,b,c\n" + "".join(
+        f"{x},{y},{x ^ y}\n" for x, y in zip(a, b)))
+
+
+def runs():
+    """(name, argv without --out-dir, expected exit code), inputs first."""
+    for kind, seeds in (("corn-like", CORN_SEEDS),
+                        ("patent-like", PATENT_SEEDS), ("noise", [0])):
+        for seed in seeds:
+            yield (f"synth/{kind}_{seed}",
+                   ["synth", "--kind", kind, "--seed", str(seed)], 0)
+    for seed in CORN_SEEDS:
+        data = synth_csv("corn-like", seed)
+        for name, argv in (
+                ("pipeline-svg", ["pipeline", "--seed", str(seed), "--svg"]),
+                ("cwt-svg", ["cwt", "--svg"]), ("fit", ["fit"]),
+                ("adf", ["adf"])):
+            yield f"{name}/corn_like_{seed}", [*argv, "--input", data], 0
+    for seed in PATENT_SEEDS:
+        yield (f"pipeline/patent_like_{seed}",
+               ["pipeline", "--seed", str(seed), "--input",
+                synth_csv("patent-like", seed)], 2)
+    corn33 = synth_csv("corn-like", 33)
+    yield ("adf-trend/corn_like_33",
+           ["adf", "--lags", "3", "--kind", "constant+trend",
+            "--input", corn33], 0)
+    yield ("coint/pair", ["coint", "--input", "inputs/pair.csv",
+                          "--y-column", "y", "--x-column", "x"], 0)
+    yield ("coint/two", ["coint", "--input", "inputs/two.csv",
+                         "--y-column", "a", "--x-column", "b"], 0)
+    yield "entropy/xor", ["entropy", "--input", "inputs/xor.csv"], 0
+    yield ("entropy-subset/xor",
+           ["entropy", "--input", "inputs/xor.csv", "--subset", "a", "c"], 0)
+    yield "synergy/xor", ["synergy", "--input", "inputs/xor.csv"], 0
+    yield ("synergy-stride/xor", ["synergy", "--input", "inputs/xor.csv",
+                                  "--window", "64", "--stride", "32"], 0)
+    for argv, _ in FAILING_RUNS:
+        inputs = [] if argv[0] == "synth" else ["--input", corn33]
+        yield "fail/" + "_".join(argv), [*argv, *inputs], 1
+
+
+def run(name: str, argv) -> int:
+    """One ``cli.main`` call with its record beside its artifacts."""
+    record = Path(name)
+    record.mkdir(parents=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--out-dir", str(record / "out")])
+    (record / "exit_code").write_text(f"{code}\n")
+    (record / "stdout").write_text(stdout.getvalue())
+    (record / "stderr").write_text(stderr.getvalue())
+    return code
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out_dir", help="new or empty directory for the tree")
+    out = Path(parser.parse_args().out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    os.chdir(out)
+    inputs = Path("inputs")
+    inputs.mkdir()
+    write_pair_csv(inputs / "pair.csv")
+    write_two_series_csv(inputs / "two.csv")
+    write_xor_csv(inputs / "xor.csv")
+    total = unexpected = 0
+    for name, argv, expected in runs():
+        code = run(name, argv)
+        total += 1
+        if code != expected:
+            unexpected += 1
+            print(f"{name}: exit {code}, expected {expected}")
+    print(f"{total} runs, {unexpected} with an unexpected exit code")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -353,6 +353,9 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
             raise ValueError("give a component count or an initial model")
         if n < 1:
             raise ValueError("component count must be at least 1")
+        room = max_pulses(len(series))
+        if n > room:
+            raise ValueError(f"series has room for only {room} pulses")
         # imported here because lcwt imports this module
         from .lcwt import extract_waves
         result = extract_waves(series, max_waves=n).fit

@@ -442,37 +442,31 @@ def scalogram_to_csv(s: Scalogram, path, comments=()) -> None:
             fh.write(f"{a!r},{row}\n")
 
 
-def _heat_color(z: float) -> str:
-    """Diverging blue-white-red map for z in [-1, 1]."""
-    z = min(max(z, -1.0), 1.0)
-    if z >= 0.0:
-        r, g, b = 255, round(255 * (1 - z)), round(255 * (1 - z))
-    else:
-        r, g, b = round(255 * (1 + z)), round(255 * (1 + z)), 255
-    return f"#{r:02x}{g:02x}{b:02x}"
+# fill by fade f = round(255 (1 - |z|)): red at f for z >= 0, blue at f + 256
+_HEAT_COLORS = tuple([f"#ff{f:02x}{f:02x}" for f in range(256)]
+                     + [f"#{f:02x}{f:02x}ff" for f in range(256)])
 
 
 def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
-    """Static heatmap of the coefficients, rows = scales (largest on top)."""
+    """Static heatmap of the coefficients, rows = scales (largest on top),
+    coloured by z = W / max|W| (see ``_HEAT_COLORS``)."""
     cell = _SVG_CELL
     n_scales, n_trans = s.coefficients.shape
     peak = float(np.abs(s.coefficients).max())
-    norm = peak if peak > 0 else 1.0
-    width = n_trans * cell
-    height = n_scales * cell
-    parts = [f"<!-- {line} -->" for line in comments]
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    for i in range(n_scales):
-        y = (n_scales - 1 - i) * cell
-        for j in range(n_trans):
-            color = _heat_color(s.coefficients[i, j] / norm)
-            parts.append(
-                f'<rect x="{j * cell}" y="{y}" width="{cell}" '
-                f'height="{cell}" fill="{color}"/>'
-            )
-    parts.append("</svg>")
+    # |z| <= 1, and 1 - |z| equals 1 + z for z < 0
+    z = s.coefficients / (peak if peak > 0 else 1.0)
+    fade = np.round(255.0 * (1.0 - np.abs(z))).astype(np.intp)
+    colors = np.where(z >= 0.0, fade, fade + 256)
+    width, height = n_trans * cell, n_scales * cell
+    starts = [f'<rect x="{j * cell}" y="' for j in range(n_trans)]
+    size = f'" width="{cell}" height="{cell}" fill="'
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        for line in comments:
+            fh.write(f"<!-- {line} -->\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                 f'height="{height}" viewBox="0 0 {width} {height}">\n')
+        for i, row in enumerate(colors.tolist()):
+            y = (n_scales - 1 - i) * cell
+            fh.write("".join([f'{start}{y}{size}{_HEAT_COLORS[c]}"/>\n'
+                              for start, c in zip(starts, row)]))
+        fh.write("</svg>\n")

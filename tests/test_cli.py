@@ -29,6 +29,7 @@ def write_two_series_csv(path):
 FAILING_RUNS = [
     (["cwt", "--max-waves", "0"], "max_waves must be at least 1"),
     (["fit", "--components", "0"], "component count must be at least 1"),
+    (["fit", "--components", "80"], "has room for only 79 pulses"),
     (["cwt", "--scales", "0"], "need at least 1 scale"),
     (["pipeline", "--scales", "0"], "need at least 1 scale"),
     (["pipeline", "--lags", "500"], "too short for 500 lags"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -450,6 +452,26 @@ class TestRedundancySplit:
             lcwt.redundancy_split(waves, times, positive_role="other")
 
 
+def heat_color_oracle(z: float) -> str:
+    """The heatmap's colour rule one cell at a time: diverging
+    blue-white-red for z in [-1, 1], each fade rounded half to even."""
+    z = min(max(z, -1.0), 1.0)
+    if z >= 0.0:
+        r, g, b = 255, round(255 * (1 - z)), round(255 * (1 - z))
+    else:
+        r, g, b = round(255 * (1 + z)), round(255 * (1 + z)), 255
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def svg_fills(path):
+    """{(x, y): fill} of every heatmap cell in an SVG file."""
+    text = path.read_text()
+    cells = re.findall(r'<rect x="(\d+)" y="(\d+)" width="4" height="4" '
+                       r'fill="(#[0-9a-f]{6})"/>', text)
+    assert len(cells) == text.count("<rect")
+    return {(int(x), int(y)): fill for x, y, fill in cells}
+
+
 class TestScalogramExport:
     def test_csv_round_trip_shape(self, tmp_path):
         scalogram = lcwt.cwt(pulse_series(n=128, center=64.0),
@@ -471,3 +493,33 @@ class TestScalogramExport:
         text = path.read_text()
         assert text.startswith("<svg")
         assert text.count("<rect") == 6 * 64
+
+    def test_svg_fill_follows_the_color_rule(self, tmp_path):
+        peak = 510.0
+        # +peak, -peak, signed zeros and values that vanish against the
+        # peak; 1, 3 and -445 fade to exactly 254.5, 253.5 and 32.5,
+        # halves that round to even
+        coefficients = np.array([
+            [peak, -peak, 0.0, -0.0, 1e-300, -1e-300],
+            [1.0, 3.0, -445.0, 255.0, -255.0, -509.5],
+        ])
+        assert [255 * (1 - abs(w / peak)) for w in (1.0, 3.0, -445.0)] == [
+            254.5, 253.5, 32.5]
+        scalogram = lcwt.Scalogram(np.arange(6.0), np.array([1.0, 2.0]),
+                                   coefficients)
+        path = tmp_path / "scalogram.svg"
+        lcwt.scalogram_to_svg(scalogram, path)
+        # the largest scale is the top row, y = 0
+        expected = {(4 * j, 4 * (1 - i)): heat_color_oracle(w / peak)
+                    for (i, j), w in np.ndenumerate(coefficients)}
+        assert svg_fills(path) == expected
+        assert expected[(0, 4)] == "#ff0000" and expected[(4, 4)] == "#0000ff"
+        assert expected[(0, 0)] == "#fffefe" and expected[(8, 0)] == "#2020ff"
+
+    def test_all_zero_svg_is_white(self, tmp_path):
+        scalogram = lcwt.Scalogram(np.arange(5.0), np.array([1.0, 2.0, 3.0]),
+                                   np.zeros((3, 5)))
+        path = tmp_path / "scalogram.svg"
+        lcwt.scalogram_to_svg(scalogram, path)
+        fills = svg_fills(path)
+        assert len(fills) == 15 and set(fills.values()) == {"#ffffff"}
