@@ -16,10 +16,16 @@ equal:
     diff -r matrix-base matrix-head
 
 The runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
-``fit`` and ``adf`` on corn-like seeds 0-19 and 33; ``pipeline`` on
-patent-like seeds 0-3 (exit 2); ``coint``, ``entropy`` and ``synergy``;
-and every exit-1 case of ``FAILING_RUNS`` in tests/test_cli.py. The
-script exits 1 when a run's exit code is not the expected one.
+``fit`` and ``adf`` on corn-like seeds 0-19 and 33; four runs whose CWT
+filter bank has another key than n = 241, dt = 1 and 64 scales, in an
+order where each changes one part of the key from the transform before
+(``cwt --svg --scales 16`` on corn-like seed 33, the same without
+``--svg`` on its values sampled every 0.25 time units, ``cwt`` on noise
+seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
+``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``, ``entropy``
+and ``synergy``; and every exit-1 case of ``FAILING_RUNS`` in
+tests/test_cli.py. The script exits 1 when a run's exit code is not the
+expected one.
 """
 import argparse
 import contextlib
@@ -33,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from synwave import cli  # noqa: E402
+from synwave import cli, synth  # noqa: E402
 from test_cli import (FAILING_RUNS, write_pair_csv,  # noqa: E402
                       write_two_series_csv)
 
@@ -54,6 +60,13 @@ def write_xor_csv(path):
         f"{x},{y},{x ^ y}\n" for x, y in zip(a, b)))
 
 
+def write_quarter_step_csv(path):
+    """Corn-like seed 33's values on a time axis of step 0.25."""
+    values = synth.corn_like_series(33).values.tolist()
+    path.write_text("t,value\n" + "".join(
+        f"{0.25 * i!r},{v!r}\n" for i, v in enumerate(values)))
+
+
 def runs():
     """(name, argv without --out-dir, expected exit code), inputs first."""
     for kind, seeds in (("corn-like", CORN_SEEDS),
@@ -61,6 +74,8 @@ def runs():
         for seed in seeds:
             yield (f"synth/{kind}_{seed}",
                    ["synth", "--kind", kind, "--seed", str(seed)], 0)
+    yield ("synth/corn-like_33_n1000",
+           ["synth", "--kind", "corn-like", "--seed", "33", "--n", "1000"], 0)
     for seed in CORN_SEEDS:
         data = synth_csv("corn-like", seed)
         for name, argv in (
@@ -68,11 +83,24 @@ def runs():
                 ("cwt-svg", ["cwt", "--svg"]), ("fit", ["fit"]),
                 ("adf", ["adf"])):
             yield f"{name}/corn_like_{seed}", [*argv, "--input", data], 0
+    # from fit/corn_like_33's key, each transform below changes one part
+    # of the filter bank's key: the scale grid, then the time step, then
+    # the length (and with it the default grid); the last run reuses the
+    # noise run's key
+    corn33 = synth_csv("corn-like", 33)
+    yield ("cwt-svg-scales16/corn_like_33",
+           ["cwt", "--svg", "--scales", "16", "--input", corn33], 0)
+    yield ("cwt-quarter-step-scales16/corn_like_33",
+           ["cwt", "--scales", "16", "--input", "inputs/quarter_step.csv",
+            "--time-column", "t"], 0)
+    yield "cwt/noise_0", ["cwt", "--input", synth_csv("noise", 0)], 0
+    yield ("pipeline/corn_like_33_n1000",
+           ["pipeline", "--seed", "33", "--input",
+            "synth/corn-like_33_n1000/out/corn_like_33.csv"], 0)
     for seed in PATENT_SEEDS:
         yield (f"pipeline/patent_like_{seed}",
                ["pipeline", "--seed", str(seed), "--input",
                 synth_csv("patent-like", seed)], 2)
-    corn33 = synth_csv("corn-like", 33)
     yield ("adf-trend/corn_like_33",
            ["adf", "--lags", "3", "--kind", "constant+trend",
             "--input", corn33], 0)
@@ -118,6 +146,7 @@ def main() -> int:
     write_pair_csv(inputs / "pair.csv")
     write_two_series_csv(inputs / "two.csv")
     write_xor_csv(inputs / "xor.csv")
+    write_quarter_step_csv(inputs / "quarter_step.csv")
     total = unexpected = 0
     for name, argv, expected in runs():
         code = run(name, argv)

@@ -22,9 +22,9 @@ from .models import (
     SolitonChainModel,
     SolitonComponent,
     _check_uniform_grid,
+    _flat_chain,
+    _flat_staircase,
     _sech_squared,
-    chain_eval,
-    cumulative_chain_eval,
 )
 
 _DAMPING_START = 1e-3
@@ -170,7 +170,9 @@ def levenberg_marquardt(residual_fn, p0, jacobian_fn):
     """Damped least squares minimizing sum(residual_fn(p)^2).
 
     ``jacobian_fn(p)`` is the residual's Jacobian at p, one row per
-    residual and one column per parameter, taken once per iteration.
+    residual and one column per parameter, taken once per iteration at
+    the last accepted point. Each p passed to either function is a new
+    array that is never written into, so callers may key on its identity.
     The damping factor starts at 1e-3, shrinks 10x after an accepted
     step and grows 10x after a rejected one. Converged when the relative
     SSE drop of an accepted step falls below 1e-10 or the gradient
@@ -230,48 +232,64 @@ def _chain_pack(model: SolitonChainModel) -> np.ndarray:
     return np.asarray(flat, dtype=float)
 
 
-def _chain_unpack(params: np.ndarray) -> SolitonChainModel:
-    components = []
-    for i in range(1, params.size, 3):
-        amplitude = float(params[i])
-        components.append(SolitonComponent(
-            amplitude=amplitude if amplitude != 0.0 else _TINY,
-            k=float(np.exp(np.clip(params[i + 1], -_LOG_K_CLIP, _LOG_K_CLIP))),
-            center=float(params[i + 2]),
-        ))
-    return SolitonChainModel(beta=float(params[0]), components=tuple(components))
+def _chain_columns(params: np.ndarray):
+    """Amplitudes, widths and centers of flat ``params`` as (p, 1) columns.
 
-
-def _pulse_partials(a, k, z, s, th):
-    """d/dA, d/dlog k, d/dc of the pulse A sech^2(z), z = k (t - c)."""
-    return s, -2.0 * a * s * th * z, 2.0 * a * k * s * th
-
-
-def _step_partials(a, k, z, s, th):
-    """d/dA, d/dlog k, d/dc of the step (A/k)(1 + tanh z) it integrates to."""
-    rise = 1.0 + th
-    return rise / k, (a / k) * (s * z - rise), -a * s
-
-
-def _chain_jacobian(params: np.ndarray, times: np.ndarray,
-                    partials) -> np.ndarray:
-    """Closed-form Jacobian of a chain form's residual at flat ``params``.
-
-    ``partials`` gives one form's per-pulse columns, one row per pulse.
-    The columns follow ``_chain_unpack``: an amplitude of exactly 0 is
-    read as _TINY, log k has no effect outside its clip, and sech^2 is
-    exactly 0 beyond the model's tail cutoff.
+    An amplitude of exactly 0, which a pulse may not have, is read as
+    _TINY, and log k is clipped.
     """
     a = params[1::3, None]
-    a = np.where(a == 0.0, _TINY, a)
-    log_k = params[2::3, None]
-    k = np.exp(np.clip(log_k, -_LOG_K_CLIP, _LOG_K_CLIP))
-    z = k * (times - params[3::3, None])
-    d_a, d_log_k, d_c = partials(a, k, z, _sech_squared(z), np.tanh(z))
-    jac = np.empty((times.size, params.size))
+    k = np.exp(np.clip(params[2::3, None], -_LOG_K_CLIP, _LOG_K_CLIP))
+    return np.where(a == 0.0, _TINY, a), k, params[3::3, None]
+
+
+def _chain_unpack(params: np.ndarray) -> SolitonChainModel:
+    """The model of flat ``params``, read by ``_chain_columns``."""
+    return SolitonChainModel(beta=float(params[0]), components=tuple(
+        SolitonComponent(*pulse)
+        for pulse in np.hstack(_chain_columns(params)).tolist()))
+
+
+def _pulse_form(params: np.ndarray, times: np.ndarray):
+    """The chain's value at flat ``params``, and a function giving its
+    per-pulse d/dA, d/dlog k, d/dc from the same z and sech^2 z."""
+    a, k, c = _chain_columns(params)
+    value, z, s = _flat_chain(params[0], a, k, c, times)
+
+    def partials():
+        th = np.tanh(z)
+        return s, -2.0 * a * s * th * z, 2.0 * a * k * s * th
+
+    return value, partials
+
+
+def _step_form(params: np.ndarray, times: np.ndarray):
+    """The staircase's value at flat ``params`` (beta plus the running
+    integral of the pulses), and its partials from the same z and tanh z."""
+    a, k, c = _chain_columns(params)
+    steps, z, th = _flat_staircase(a, k, c, times)
+
+    def partials():
+        s = _sech_squared(z)
+        rise = 1.0 + th
+        return rise / k, (a / k) * (s * z - rise), -a * s
+
+    return params[0] + steps, partials
+
+
+def _chain_jacobian(params: np.ndarray, partials) -> np.ndarray:
+    """Closed-form Jacobian of a chain form's residual at flat ``params``.
+
+    ``partials`` are the form's per-pulse columns d/dA, d/dlog k, d/dc
+    there, one row per pulse. log k has no effect outside its clip, and
+    sech^2 is exactly 0 beyond the model's tail cutoff.
+    """
+    d_a, d_log_k, d_c = partials
+    jac = np.empty((d_a.shape[1], params.size))
     jac[:, 0] = 1.0
     jac[:, 1::3] = d_a.T
-    jac[:, 2::3] = np.where(np.abs(log_k) > _LOG_K_CLIP, 0.0, d_log_k).T
+    jac[:, 2::3] = np.where(np.abs(params[2::3, None]) > _LOG_K_CLIP, 0.0,
+                            d_log_k).T
     jac[:, 3::3] = d_c.T
     return jac
 
@@ -309,24 +327,34 @@ def max_pulses(samples: int) -> int:
     return (samples - 2) // 3
 
 
-def _fit_chain(series: TimeSeries, init: SolitonChainModel,
-               evaluate, partials) -> FitResult:
-    """Fit ``evaluate(model, times)`` to the series, starting from ``init``.
+def _fit_chain(series: TimeSeries, init: SolitonChainModel, form) -> FitResult:
+    """Fit a chain form to the series, starting from ``init``.
 
-    ``partials`` are the form's per-pulse derivatives (``_pulse_partials``
-    for ``chain_eval``, ``_step_partials`` for the staircase). Components
-    come out in center order and their error rows with them; a width's
-    error is mapped back from log space as k * se(log k).
+    ``form(params, times)`` is the form's value at flat parameters and a
+    function giving its per-pulse partials (``_pulse_form`` for the pulse
+    chain, ``_step_form`` for the staircase). The partials function of
+    the last residual is kept, keyed on the identity of its parameter
+    array (LM never writes into one), so the Jacobian that LM takes where
+    it last evaluated reuses that evaluation's terms. Components come out
+    in center order and their error rows with them; a width's error is
+    mapped back from log space as k * se(log k).
     """
     n = len(init.components)
     if n > max_pulses(len(series)):
         raise ValueError(f"series too short to fit {n} components")
+    last = (None, None)
 
     def residual_fn(params):
-        return evaluate(_chain_unpack(params), series.times) - series.values
+        nonlocal last
+        value, partials = form(params, series.times)
+        last = (params, partials)
+        return value - series.values
 
     def jacobian_fn(params):
-        return _chain_jacobian(params, series.times, partials)
+        cached, partials = last
+        if cached is not params:
+            _, partials = form(params, series.times)
+        return _chain_jacobian(params, partials())
 
     params, _, sse, iterations, converged, history = levenberg_marquardt(
         residual_fn, _chain_pack(init), jacobian_fn)
@@ -363,7 +391,7 @@ def fit_soliton_chain(series: TimeSeries, n: int | None = None,
         if found < n:
             raise ValueError(f"extraction found {found} of {n} waves")
         return result
-    return _fit_chain(series, init, chain_eval, _pulse_partials)
+    return _fit_chain(series, init, _pulse_form)
 
 
 def soliton_to_logistic(comp: SolitonComponent) -> LogisticComponent:
@@ -408,9 +436,4 @@ def fit_logistic_sum(cumulative: TimeSeries, n: int) -> FitResult:
         a = float(slope[j])
         k = 2.0 * a * n / rise if a * rise > 0.0 else 1.0 / cumulative.dt
         params += [a, np.log(k), cumulative.times[j]]
-
-    def evaluate(model, t):
-        return model.beta + cumulative_chain_eval(model, t)
-
-    return _fit_chain(cumulative, _chain_unpack(np.array(params)), evaluate,
-                      _step_partials)
+    return _fit_chain(cumulative, _chain_unpack(np.array(params)), _step_form)

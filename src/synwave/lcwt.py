@@ -26,6 +26,7 @@ opposing series whose difference reconstructs the extracted signal content.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,39 +167,72 @@ def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
     return np.geomspace(a_min, a_max, num)
 
 
-def cwt(series: TimeSeries, scales=None) -> Scalogram:
-    """L2-normalized wavelet coefficients at every (scale, sample time).
+@dataclass(frozen=True)
+class _FilterBank:
+    """Kernel spectra of one (length, step, scale grid) key."""
 
-    Each sampled kernel is shifted to sum to zero, as the mother wavelet
-    integrates to zero; at sub-sample scales the samples alone do not, and
-    a constant offset would leak into the finest rows. Boundaries are
-    handled by reflecting the series over the widest kernel's radius. The
-    per-scale correlations run through one shared FFT of the padded
-    signal, which keeps the result deterministic and fast for wide kernels.
+    pad: int                  # reflected samples on either side
+    nfft: int
+    spectra: np.ndarray       # (scales, nfft // 2 + 1), read-only
+    starts: np.ndarray        # (scales, 1) first output index of each row
+
+
+@functools.lru_cache(maxsize=1)
+def _filter_bank(n: int, dt: float, scales: tuple[float, ...]) -> _FilterBank:
+    """Spectra of the reversed zero-sum kernels of every scale.
+
+    Each kernel is laid left-aligned in one (scales x nfft) array and
+    transformed in one batch; row i of the correlation starts at
+    ``pad + radius_i``. One key is kept: the scales of an extraction are
+    fixed across its passes, and a new key replaces the bank.
     """
-    if len(series) < 2:
-        raise ValueError("series too short for a transform")
-    if scales is None:
-        scales = default_scales(len(series))
-    scales = np.asarray(scales, dtype=float)
-    if np.any(scales <= 0.0):
-        raise ValueError("scales must be positive")
-    n = len(series)
-    dt = series.dt
-    pad = int(np.ceil(KERNEL_RADIUS_PER_SCALE * scales.max()))
-    padded = np.pad(series.values, pad, mode="reflect")
-    nfft = 1 << int(np.ceil(np.log2(padded.size + 2 * pad + 1)))
-    spectrum = np.fft.rfft(padded, nfft)
-    coefficients = np.empty((scales.size, n))
+    pad = int(np.ceil(KERNEL_RADIUS_PER_SCALE * max(scales)))
+    nfft = 1 << int(np.ceil(np.log2(n + 4 * pad + 1)))
+    kernels = np.zeros((len(scales), nfft))
+    starts = np.empty((len(scales), 1), dtype=np.intp)
     for row, a in enumerate(scales):
         radius = max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
         u = np.arange(-radius, radius + 1, dtype=float)
         kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
         kernel -= kernel.mean()
         # correlation = convolution with the reversed kernel
-        kernel_fft = np.fft.rfft(kernel[::-1], nfft)
-        conv = np.fft.irfft(spectrum * kernel_fft, nfft)
-        coefficients[row, :] = conv[pad + radius: pad + radius + n]
+        kernels[row, :kernel.size] = kernel[::-1]
+        starts[row] = pad + radius
+    spectra = np.fft.rfft(kernels, axis=-1)
+    spectra.setflags(write=False)
+    starts.setflags(write=False)
+    return _FilterBank(pad, nfft, spectra, starts)
+
+
+def cwt(series: TimeSeries, scales=None) -> Scalogram:
+    """L2-normalized wavelet coefficients at every (scale, sample time).
+
+    Each sampled kernel is shifted to sum to zero, as the mother wavelet
+    integrates to zero; at sub-sample scales the samples alone do not, and
+    a constant offset would leak into the finest rows. Boundaries are
+    handled by reflecting the series over the widest kernel's radius. All
+    scales correlate in one product with the FFT of the padded signal
+    (Torrence & Compo 1998), against a filter bank kept for the last
+    (length, step, scales) key, so the passes of an extraction build it
+    once.
+    """
+    if len(series) < 2:
+        raise ValueError("series too short for a transform")
+    if scales is None:
+        scales = default_scales(len(series))
+    # a copy: the result's grid must not alias the caller's
+    scales = np.array(scales, dtype=float)
+    if (scales.ndim != 1 or scales.size == 0
+            or not np.all(np.isfinite(scales)) or np.any(scales <= 0.0)
+            or np.any(np.diff(scales) <= 0.0)):
+        raise ValueError("scales must be a 1-D grid of finite, positive, "
+                         "strictly increasing values")
+    n = len(series)
+    bank = _filter_bank(n, series.dt, tuple(scales.tolist()))
+    padded = np.pad(series.values, bank.pad, mode="reflect")
+    spectrum = np.fft.rfft(padded, bank.nfft)
+    conv = np.fft.irfft(spectrum * bank.spectra, bank.nfft, axis=-1)
+    coefficients = np.take_along_axis(conv, bank.starts + np.arange(n), axis=1)
     return Scalogram(series.times.copy(), scales, coefficients)
 
 

@@ -156,13 +156,47 @@ def soliton_eval(sol: SolitonComponent, t):
     return _match_input(out)
 
 
+def _flat_chain(beta, a, k, c, t):
+    """beta + sum of a_i sech^2(z_i), with z_i = k_i (t - c_i), and z and
+    sech^2 z, one row per pulse.
+
+    ``a``, ``k`` and ``c`` hold one entry per pulse along a leading axis
+    and broadcast against the array ``t``; the pulses are added in
+    center order.
+    """
+    z = k * (t - c)
+    s = _sech_squared(z)
+    return _add_pulses(np.full(t.shape, beta, dtype=float), a * s, c), z, s
+
+
+def _flat_staircase(a, k, c, t):
+    """Running integral of the pulse sum, sum of (a_i/k_i)(1 + tanh z_i),
+    and z and tanh z, laid out as in ``_flat_chain``."""
+    z = k * (t - c)
+    th = np.tanh(z)
+    steps = (a / k) * (1.0 + th)
+    return _add_pulses(np.zeros(t.shape), steps, c), z, th
+
+
+def _add_pulses(out, rows, c):
+    """``out`` plus the pulse rows, one at a time in (stable) center order."""
+    for i in np.argsort(np.ravel(c), kind="stable"):
+        out += rows[i]
+    return out
+
+
+def _pulse_columns(m: SolitonChainModel, t: np.ndarray):
+    """The model's amplitudes, widths and centers shaped for ``_flat_chain``."""
+    columns = np.array([(p.amplitude, p.k, p.center) for p in m.components],
+                       dtype=float).reshape(-1, 3)
+    return columns.T.reshape((3, len(m.components)) + (1,) * t.ndim)
+
+
 def chain_eval(m: SolitonChainModel, t):
     """Vertical shift plus the sum of all pulses."""
     t_arr = np.asarray(t, dtype=float)
-    out = np.full(t_arr.shape, m.beta, dtype=float)
-    for comp in m.components:
-        out += soliton_eval(comp, t_arr)
-    return _match_input(out)
+    value, _, _ = _flat_chain(m.beta, *_pulse_columns(m, t_arr), t_arr)
+    return _match_input(value)
 
 
 def cumulative_chain_eval(m: SolitonChainModel, t):
@@ -173,12 +207,8 @@ def cumulative_chain_eval(m: SolitonChainModel, t):
     own offset.
     """
     t_arr = np.asarray(t, dtype=float)
-    out = np.zeros(t_arr.shape, dtype=float)
-    for comp in m.components:
-        out += (comp.amplitude / comp.k) * (
-            1.0 + np.tanh(comp.k * (t_arr - comp.center))
-        )
-    return _match_input(out)
+    value, _, _ = _flat_staircase(*_pulse_columns(m, t_arr), t_arr)
+    return _match_input(value)
 
 
 def kdv_soliton(k: float, x, t):

@@ -198,12 +198,12 @@ def staircase_eval(model, times):
     return model.beta + models.cumulative_chain_eval(model, times)
 
 
-# each fitted form: its model evaluation, its per-pulse partials and the
-# largest |value| one pulse (A, k) takes in it
+# each fitted form: its model evaluation, its flat form and the largest
+# |value| one pulse (A, k) takes in it
 FORMS = {
-    "chain": (models.chain_eval, fit._pulse_partials,
+    "chain": (models.chain_eval, fit._pulse_form,
               lambda a, k: abs(a)),
-    "staircase": (staircase_eval, fit._step_partials,
+    "staircase": (staircase_eval, fit._step_form,
                   lambda a, k: 2.0 * abs(a) / k),
 }
 JACOBIAN_TIMES = np.arange(80.0)
@@ -238,7 +238,7 @@ class TestClosedFormJacobian:
     # step is 2A/k ~ 1e22 tall
     @example(beta=3.0, pulses=[(2.0, -49.8, 60.125), (-2.0, -50.2, 30.125)])
     def test_matches_central_differences(self, form, beta, pulses):
-        evaluate, partials, height = FORMS[form]
+        evaluate, flat_form, height = FORMS[form]
         # packed against center order, as when centers cross during a fit
         pulses = sorted(pulses, key=lambda p: -p[2])
         params = np.array([beta, *(v for p in pulses for v in p)])
@@ -246,7 +246,8 @@ class TestClosedFormJacobian:
         def residual_fn(p):
             return evaluate(fit._chain_unpack(p), JACOBIAN_TIMES)
 
-        closed = fit._chain_jacobian(params, JACOBIAN_TIMES, partials)
+        _, partials = flat_form(params, JACOBIAN_TIMES)
+        closed = fit._chain_jacobian(params, partials())
         oracle = central_difference_jacobian(residual_fn, params)
         # a difference quotient cannot resolve what lies below the
         # round-off of the model's parts, relative to their largest size
@@ -258,6 +259,119 @@ class TestClosedFormJacobian:
             difference_steps(params))
         tolerance = 1e-6 * np.abs(oracle).max(axis=0) + floor
         assert np.all(np.abs(closed - oracle) <= tolerance)
+
+
+def chain_eval_oracle(model, times):
+    """The chain one ``soliton_eval`` at a time, in the model's order."""
+    out = np.full(times.shape, model.beta)
+    for comp in model.components:
+        out += models.soliton_eval(comp, times)
+    return out
+
+
+def staircase_oracle(model, times):
+    """The staircase one step at a time, in the model's order."""
+    out = np.zeros(times.shape)
+    for comp in model.components:
+        out += (comp.amplitude / comp.k) * (
+            1.0 + np.tanh(comp.k * (times - comp.center)))
+    return model.beta + out
+
+
+ORACLES = {"chain": chain_eval_oracle, "staircase": staircase_oracle}
+FLAT_TIMES = np.arange(120.0)
+FLAT_TRUTH = models.SolitonChainModel(5.0, (
+    models.SolitonComponent(100.0, 0.3, 30.0),
+    models.SolitonComponent(40.0, 0.05, 80.0)))
+FLAT_INIT = models.SolitonChainModel(5.0, (
+    models.SolitonComponent(60.0, 0.2, 34.0),
+    models.SolitonComponent(55.0, 0.07, 74.0)))
+
+
+def noisy_form_series(form):
+    """The form of FLAT_TRUTH plus seeded unit noise."""
+    noise = np.random.default_rng(0).standard_normal(FLAT_TIMES.size)
+    return fit.TimeSeries(FLAT_TIMES,
+                          FORMS[form][0](FLAT_TRUTH, FLAT_TIMES) + noise)
+
+
+class TestFlatForm:
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(beta=st.floats(-100.0, 100.0),
+           pulses=st.lists(st.tuples(_amplitudes, _log_widths, _centers),
+                           max_size=5))
+    # centers unsorted and tied, a zero amplitude, log k past both clips
+    @example(beta=3.0, pulses=[(5.0, 60.0, 20.125), (0.0, -1.0, 20.125),
+                               (-7.0, -60.0, -3.875), (2.0, -2.0, 20.125)])
+    def test_value_is_the_model_value(self, form, beta, pulses):
+        evaluate, flat_form, _ = FORMS[form]
+        params = np.array([beta, *(v for p in pulses for v in p)])
+        value, _ = flat_form(params, JACOBIAN_TIMES)
+        model = fit._chain_unpack(params)
+        assert np.array_equal(value, evaluate(model, JACOBIAN_TIMES))
+        assert np.array_equal(value, ORACLES[form](model, JACOBIAN_TIMES))
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_lm_jacobians_reuse_the_residual_terms(self, form, monkeypatch):
+        _, flat_form, _ = FORMS[form]
+        calls = {"form": 0, "residual": 0, "jacobian": 0}
+        real_lm = fit.levenberg_marquardt
+
+        def counted_form(params, times):
+            calls["form"] += 1
+            return flat_form(params, times)
+
+        def checked_lm(residual_fn, p0, jacobian_fn):
+            def residual(params):
+                calls["residual"] += 1
+                return residual_fn(params)
+
+            def jacobian(params):
+                calls["jacobian"] += 1
+                jac = jacobian_fn(params)
+                _, partials = flat_form(params, FLAT_TIMES)
+                assert np.array_equal(
+                    jac, fit._chain_jacobian(params, partials()))
+                return jac
+
+            return real_lm(residual, p0, jacobian)
+
+        monkeypatch.setattr(fit, "levenberg_marquardt", checked_lm)
+        result = fit._fit_chain(noisy_form_series(form), FLAT_INIT,
+                                counted_form)
+        assert result.converged and result.iterations > 3
+        assert calls["jacobian"] == result.iterations
+        # no Jacobian, the standard errors' included, evaluated the form
+        assert calls["form"] == calls["residual"]
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_standard_errors_after_a_rejected_last_trial(self, form,
+                                                         monkeypatch):
+        _, flat_form, _ = FORMS[form]
+        series = noisy_form_series(form)
+        expected = fit._fit_chain(series, FLAT_INIT, flat_form)
+        real_lm, real_errors = fit.levenberg_marquardt, fit._standard_errors
+        seen = {}
+
+        def lm_then_rejected_trial(residual_fn, p0, jacobian_fn):
+            out = real_lm(residual_fn, p0, jacobian_fn)
+            residual_fn(out[0] + 0.5)  # a trial LM did not take
+            seen["params"] = out[0]
+            return out
+
+        def errors(jac, sse):
+            seen["jac"] = jac
+            return real_errors(jac, sse)
+
+        monkeypatch.setattr(fit, "levenberg_marquardt", lm_then_rejected_trial)
+        monkeypatch.setattr(fit, "_standard_errors", errors)
+        result = fit._fit_chain(series, FLAT_INIT, flat_form)
+        _, partials = flat_form(seen["params"], FLAT_TIMES)
+        assert np.array_equal(
+            seen["jac"], fit._chain_jacobian(seen["params"], partials()))
+        assert (result.standard_errors.tobytes()
+                == expected.standard_errors.tobytes())
 
 
 class TestParameterMaps:

@@ -53,6 +53,32 @@ def pulse_series(amplitude=1.0, k=0.05, center=500.0, n=1000):
     return fit.TimeSeries(times, values)
 
 
+def cwt_oracle(series, scales):
+    """The transform one scale at a time: each zero-sum kernel's own FFT
+    against the shared FFT of the reflected series."""
+    scales = np.asarray(scales, dtype=float)
+    n = len(series)
+    pad = int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * scales.max()))
+    padded = np.pad(series.values, pad, mode="reflect")
+    nfft = 1 << int(np.ceil(np.log2(padded.size + 2 * pad + 1)))
+    spectrum = np.fft.rfft(padded, nfft)
+    coefficients = np.empty((scales.size, n))
+    for row, a in enumerate(scales):
+        radius = max(int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * a)), 2)
+        u = np.arange(-radius, radius + 1, dtype=float)
+        kernel = lcwt.mother_wavelet(u / a) * (series.dt / np.sqrt(a))
+        kernel -= kernel.mean()
+        kernel_fft = np.fft.rfft(kernel[::-1], nfft)
+        conv = np.fft.irfft(spectrum * kernel_fft, nfft)
+        coefficients[row, :] = conv[pad + radius: pad + radius + n]
+    return coefficients
+
+
+def random_walk(seed, n, dt):
+    rng = np.random.default_rng(seed)
+    return fit.TimeSeries(np.arange(n) * dt, np.cumsum(rng.standard_normal(n)))
+
+
 class TestMotherWavelet:
     def test_is_even(self):
         ts = np.linspace(0.1, 30.0, 100)
@@ -135,10 +161,64 @@ class TestCwt:
         with pytest.raises(ValueError):
             lcwt.cwt(pulse_series(n=64, center=32.0), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("scales", [
+        [[1.0, 2.0]], 2.0, [], [1.0, np.inf], [np.nan, 1.0], [2.0, 1.0],
+        [1.0, 1.0]],
+        ids=["2-D", "0-D", "empty", "infinite", "nan", "decreasing",
+             "repeated"])
+    def test_bad_scale_grid_rejected_before_any_transform(self, scales):
+        series = pulse_series(n=64, center=32.0)
+        lcwt.cwt(series, [1.0, 2.0])
+        before = lcwt._filter_bank.cache_info()
+        with pytest.raises(ValueError, match="scales must be a 1-D grid"):
+            lcwt.cwt(series, scales)
+        assert lcwt._filter_bank.cache_info() == before
+
     @pytest.mark.parametrize("num", [0, -3])
     def test_empty_scale_grid_rejected(self, num):
         with pytest.raises(ValueError, match="need at least 1 scale"):
             lcwt.default_scales(64, num)
+
+
+class TestFilterBank:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(5, 600),
+           dt=st.sampled_from([1e-3, 0.37, 1.0, 1e3]) | st.floats(1e-3, 1e3),
+           grid=st.lists(st.floats(0.05, 40.0), min_size=1, max_size=12,
+                         unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_scale_transform_exactly(self, n, dt, grid, seed):
+        series = random_walk(seed, n, dt)
+        scales = np.sort(grid)
+        assert np.array_equal(lcwt.cwt(series, scales).coefficients,
+                              cwt_oracle(series, scales))
+
+    def test_interleaved_keys_each_get_their_own_bank(self):
+        # each call changes one part of the key from the call before
+        scales = lcwt.default_scales(241)
+        calls = [(241, 1.0, scales), (241, 0.25, scales),
+                 (241, 0.25, scales[:-1]), (241, 1.0, scales[:-1]),
+                 (240, 1.0, scales[:-1]), (240, 1.0, scales * 1.01),
+                 (241, 1.0, scales)]
+        for i, (n, dt, grid) in enumerate(calls * 2):
+            series = random_walk(i % len(calls), n, dt)
+            assert np.array_equal(lcwt.cwt(series, grid).coefficients,
+                                  cwt_oracle(series, grid)), (n, dt, i)
+
+    def test_writes_to_a_result_do_not_reach_the_next_call(self):
+        series = synth.corn_like_series(33)
+        grid = lcwt.default_scales(len(series))
+        first = lcwt.cwt(series, grid)
+        expected = first.coefficients.copy()
+        first.coefficients[:] = 7.0
+        first.scales[:] = 99.0
+        assert np.array_equal(lcwt.cwt(series, grid).coefficients, expected)
+        bank = lcwt._filter_bank(len(series), series.dt,
+                                 tuple(first.scales.tolist()))
+        with pytest.raises(ValueError, match="read-only"):
+            bank.spectra[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bank.starts[0, 0] = 0
 
 
 class TestWaveletScaleConstant:
