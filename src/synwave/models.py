@@ -179,8 +179,9 @@ def _flat_staircase(a, k, c, t):
 
 
 def _add_pulses(out, rows, c):
-    """``out`` plus the pulse rows, one at a time in (stable) center order."""
-    for i in np.argsort(np.ravel(c), kind="stable"):
+    """``out`` plus the pulse rows, one at a time in (stable) center order,
+    so every sum rounds as a pulse-by-pulse loop over the model does."""
+    for i in np.argsort(c.ravel(), kind="stable"):
         out += rows[i]
     return out
 
