@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -445,7 +446,9 @@ def run_pipeline(args):
     ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``synwave`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="synwave",
         description="Solitary-wave and information-redundancy analysis",

@@ -166,21 +166,21 @@ def ols(x, y) -> RegressionResult:
     )
 
 
-def levenberg_marquardt(residual_fn, p0, jacobian_fn):
-    """Damped least squares minimizing sum(residual_fn(p)^2).
+def levenberg_marquardt(evaluate, p0):
+    """Damped least squares minimizing sum(r^2), where ``(r, jacobian) =
+    evaluate(p)``.
 
-    ``jacobian_fn(p)`` is the residual's Jacobian at p, one row per
-    residual and one column per parameter, taken once per iteration at
-    the last accepted point. Each p passed to either function is a new
-    array that is never written into, so callers may key on its identity.
-    The damping factor starts at 1e-3, shrinks 10x after an accepted
-    step and grows 10x after a rejected one. Converged when the relative
-    SSE drop of an accepted step falls below 1e-10 or the gradient
-    max-norm falls below 1e-8. Returns best-so-far on stall or after
-    500 iterations.
+    ``jacobian()`` builds r's Jacobian at that same p, one row per
+    residual and one column per parameter; LM calls it once per
+    iteration, at the last accepted point, and returns that point's
+    function last. The damping factor starts at 1e-3, shrinks 10x after
+    an accepted step and grows 10x after a rejected one. Converged when
+    the relative SSE drop of an accepted step falls below 1e-10 or the
+    gradient max-norm falls below 1e-8. Returns best-so-far on stall or
+    after 500 iterations.
     """
     params = np.asarray(p0, dtype=float).copy()
-    residual = residual_fn(params)
+    residual, jacobian = evaluate(params)
     if not np.all(np.isfinite(residual)):
         raise ValueError("residuals are not finite at the starting point")
     sse = float(residual @ residual)
@@ -189,7 +189,7 @@ def levenberg_marquardt(residual_fn, p0, jacobian_fn):
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        jac = jacobian_fn(params)
+        jac = jacobian()
         grad = jac.T @ residual
         if float(np.abs(2.0 * grad).max()) < _GRAD_TOL:
             converged = True
@@ -205,7 +205,7 @@ def levenberg_marquardt(residual_fn, p0, jacobian_fn):
                 step = None
             if step is not None and np.all(np.isfinite(step)):
                 trial = params + step
-                trial_residual = residual_fn(trial)
+                trial_residual, trial_jacobian = evaluate(trial)
                 trial_sse = float(trial_residual @ trial_residual)
                 if np.isfinite(trial_sse) and trial_sse <= sse:
                     accepted = True
@@ -214,15 +214,14 @@ def levenberg_marquardt(residual_fn, p0, jacobian_fn):
         if not accepted:
             break
         drop = (sse - trial_sse) / max(sse, np.finfo(float).tiny)
-        params = trial
-        residual = trial_residual
+        params, residual, jacobian = trial, trial_residual, trial_jacobian
         sse = trial_sse
         history.append(sse)
         damping = max(damping / 10.0, 1e-15)
         if drop < _REL_SSE_TOL:
             converged = True
             break
-    return params, residual, sse, iterations, converged, history
+    return params, residual, sse, iterations, converged, history, jacobian
 
 
 def _chain_pack(model: SolitonChainModel) -> np.ndarray:
@@ -332,33 +331,24 @@ def _fit_chain(series: TimeSeries, init: SolitonChainModel, form) -> FitResult:
 
     ``form(params, times)`` is the form's value at flat parameters and a
     function giving its per-pulse partials (``_pulse_form`` for the pulse
-    chain, ``_step_form`` for the staircase). The partials function of
-    the last residual is kept, keyed on the identity of its parameter
-    array (LM never writes into one), so the Jacobian that LM takes where
-    it last evaluated reuses that evaluation's terms. Components come out
-    in center order and their error rows with them; a width's error is
-    mapped back from log space as k * se(log k).
+    chain, ``_step_form`` for the staircase). One evaluation gives LM the
+    residual and a function building the Jacobian from that evaluation's
+    terms, so the Jacobian LM takes at the point it accepted reuses them.
+    Components come out in center order and their error rows with them;
+    a width's error is mapped back from log space as k * se(log k).
     """
     n = len(init.components)
     if n > max_pulses(len(series)):
         raise ValueError(f"series too short to fit {n} components")
-    last = (None, None)
 
-    def residual_fn(params):
-        nonlocal last
+    def evaluate(params):
         value, partials = form(params, series.times)
-        last = (params, partials)
-        return value - series.values
+        return (value - series.values,
+                lambda: _chain_jacobian(params, partials()))
 
-    def jacobian_fn(params):
-        cached, partials = last
-        if cached is not params:
-            _, partials = form(params, series.times)
-        return _chain_jacobian(params, partials())
-
-    params, _, sse, iterations, converged, history = levenberg_marquardt(
-        residual_fn, _chain_pack(init), jacobian_fn)
-    errors = _standard_errors(jacobian_fn(params), sse)
+    params, _, sse, iterations, converged, history, jacobian = (
+        levenberg_marquardt(evaluate, _chain_pack(init)))
+    errors = _standard_errors(jacobian(), sse)
     model = _chain_unpack(params)
     # the model sorts its components by center; the error rows follow
     order = np.argsort(params[3::3], kind="stable")

@@ -64,6 +64,14 @@ _KAPPA = 1.4298034825734625
 _SVG_CELL = 4
 
 
+def _check_scale_grid(scales: np.ndarray) -> None:
+    if (scales.ndim != 1 or scales.size == 0
+            or not np.all(np.isfinite(scales)) or np.any(scales <= 0.0)
+            or np.any(np.diff(scales) <= 0.0)):
+        raise ValueError("scales must be a 1-D grid of finite, positive, "
+                         "strictly increasing values")
+
+
 @dataclass(frozen=True)
 class Scalogram:
     """Wavelet coefficients over (scale, translation)."""
@@ -76,8 +84,7 @@ class Scalogram:
         b = np.asarray(self.translations, dtype=float)
         a = np.asarray(self.scales, dtype=float)
         w = np.asarray(self.coefficients, dtype=float)
-        if a.ndim != 1 or np.any(a <= 0.0) or np.any(np.diff(a) <= 0.0):
-            raise ValueError("scales must be positive and strictly increasing")
+        _check_scale_grid(a)
         if w.shape != (a.size, b.size):
             raise ValueError("coefficient shape does not match the grids")
         if not np.all(np.isfinite(w)):
@@ -222,11 +229,7 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
         scales = default_scales(len(series))
     # a copy: the result's grid must not alias the caller's
     scales = np.array(scales, dtype=float)
-    if (scales.ndim != 1 or scales.size == 0
-            or not np.all(np.isfinite(scales)) or np.any(scales <= 0.0)
-            or np.any(np.diff(scales) <= 0.0)):
-        raise ValueError("scales must be a 1-D grid of finite, positive, "
-                         "strictly increasing values")
+    _check_scale_grid(scales)
     n = len(series)
     bank = _filter_bank(n, series.dt, tuple(scales.tolist()))
     padded = np.pad(series.values, bank.pad, mode="reflect")

@@ -389,6 +389,23 @@ class TestPipeline:
         assert rc == 1
         capsys.readouterr()
 
+    def test_runs_in_one_process_share_no_arguments(self, tmp_path, capsys):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", 33, data)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["cwt", "--input", str(data), "--svg",
+                         "--out-dir", str(first)]) == 0
+        assert cli.main(["cwt", "--input", str(data),
+                         "--out-dir", str(second)]) == 0
+        assert (first / "scalogram.svg").exists()
+        assert not (second / "scalogram.svg").exists()
+        payload = json.loads((second / "wave_trains.json").read_text())
+        assert payload["config"]["svg"] is False
+        assert cli.main(["cwt", "--no-such-flag"]) == 1
+        assert cli.main(["synth", "--kind", "noise",
+                         "--out-dir", str(tmp_path / "third")]) == 0
+        capsys.readouterr()
+
     def test_redundancy_csv_identity(self, tmp_path):
         data = tmp_path / "corn.csv"
         synth.generate_synthetic("corn-like", 33, data)

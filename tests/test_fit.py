@@ -315,35 +315,38 @@ class TestFlatForm:
     @pytest.mark.parametrize("form", sorted(FORMS))
     def test_lm_jacobians_reuse_the_residual_terms(self, form, monkeypatch):
         _, flat_form, _ = FORMS[form]
-        calls = {"form": 0, "residual": 0, "jacobian": 0}
+        calls = {"form": 0, "evaluate": 0, "jacobian": 0}
         real_lm = fit.levenberg_marquardt
 
         def counted_form(params, times):
             calls["form"] += 1
             return flat_form(params, times)
 
-        def checked_lm(residual_fn, p0, jacobian_fn):
-            def residual(params):
-                calls["residual"] += 1
-                return residual_fn(params)
+        def checked_lm(evaluate, p0):
+            def counted_evaluate(params):
+                calls["evaluate"] += 1
+                residual, jacobian = evaluate(params)
 
-            def jacobian(params):
-                calls["jacobian"] += 1
-                jac = jacobian_fn(params)
-                _, partials = flat_form(params, FLAT_TIMES)
-                assert np.array_equal(
-                    jac, fit._chain_jacobian(params, partials()))
-                return jac
+                def checked_jacobian():
+                    calls["jacobian"] += 1
+                    jac = jacobian()
+                    _, partials = flat_form(params, FLAT_TIMES)
+                    assert np.array_equal(
+                        jac, fit._chain_jacobian(params, partials()))
+                    return jac
 
-            return real_lm(residual, p0, jacobian)
+                return residual, checked_jacobian
+
+            return real_lm(counted_evaluate, p0)
 
         monkeypatch.setattr(fit, "levenberg_marquardt", checked_lm)
         result = fit._fit_chain(noisy_form_series(form), FLAT_INIT,
                                 counted_form)
         assert result.converged and result.iterations > 3
-        assert calls["jacobian"] == result.iterations
+        # one per iteration, and one for the standard errors
+        assert calls["jacobian"] == result.iterations + 1
         # no Jacobian, the standard errors' included, evaluated the form
-        assert calls["form"] == calls["residual"]
+        assert calls["form"] == calls["evaluate"]
 
     @pytest.mark.parametrize("form", sorted(FORMS))
     def test_standard_errors_after_a_rejected_last_trial(self, form,
@@ -354,9 +357,9 @@ class TestFlatForm:
         real_lm, real_errors = fit.levenberg_marquardt, fit._standard_errors
         seen = {}
 
-        def lm_then_rejected_trial(residual_fn, p0, jacobian_fn):
-            out = real_lm(residual_fn, p0, jacobian_fn)
-            residual_fn(out[0] + 0.5)  # a trial LM did not take
+        def lm_then_rejected_trial(evaluate, p0):
+            out = real_lm(evaluate, p0)
+            evaluate(out[0] + 0.5)  # a trial LM did not take
             seen["params"] = out[0]
             return out
 

@@ -174,6 +174,13 @@ class TestCwt:
             lcwt.cwt(series, scales)
         assert lcwt._filter_bank.cache_info() == before
 
+    @pytest.mark.parametrize("scales", [
+        [1.0, np.inf], [np.nan, 1.0], [[1.0, 2.0]]],
+        ids=["infinite", "nan", "2-D"])
+    def test_scalogram_rejects_the_grids_cwt_rejects(self, scales):
+        with pytest.raises(ValueError, match="scales must be a 1-D grid"):
+            lcwt.Scalogram(np.arange(3.0), np.array(scales), np.zeros((2, 3)))
+
     @pytest.mark.parametrize("num", [0, -3])
     def test_empty_scale_grid_rejected(self, num):
         with pytest.raises(ValueError, match="need at least 1 scale"):
