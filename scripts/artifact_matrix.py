@@ -23,9 +23,11 @@ order where each changes one part of the key from the transform before
 ``--svg`` on its values sampled every 0.25 time units, ``cwt`` on noise
 seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
 ``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``, ``entropy``
-and ``synergy``; and every exit-1 case of ``FAILING_RUNS`` in
-tests/test_cli.py. The script exits 1 when a run's exit code is not the
-expected one.
+and ``synergy`` on a 256-row xor stream; ``entropy`` and three
+``synergy`` runs (window 8 stride 3, subset ``c a`` window 50 stride 7,
+window 600) on 600 seeded rows of three five-label string columns; and
+every exit-1 case of ``FAILING_RUNS`` in tests/test_cli.py. The script
+exits 1 when a run's exit code is not the expected one.
 """
 import argparse
 import contextlib
@@ -58,6 +60,18 @@ def write_xor_csv(path):
     a, b = rng.integers(0, 2, (2, 256)).tolist()
     path.write_text("a,b,c\n" + "".join(
         f"{x},{y},{x ^ y}\n" for x, y in zip(a, b)))
+
+
+def write_labels_csv(path):
+    """600 seeded rows of columns ``a``, ``b`` and ``c``, five string
+    labels each, ``c`` drawn from ``a`` and ``b`` two times in three."""
+    rng = np.random.default_rng(1)
+    a, b, noise = rng.integers(0, 5, (3, 600))
+    c = np.where(rng.random(600) < 2 / 3, (a + 2 * b) % 5, noise)
+    names = ("calm", "drift", "gust", "lull", "surge")
+    path.write_text("a,b,c\n" + "".join(
+        f"{names[x]},{names[y]},{names[z]}\n"
+        for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())))
 
 
 def write_quarter_step_csv(path):
@@ -114,6 +128,16 @@ def runs():
     yield "synergy/xor", ["synergy", "--input", "inputs/xor.csv"], 0
     yield ("synergy-stride/xor", ["synergy", "--input", "inputs/xor.csv",
                                   "--window", "64", "--stride", "32"], 0)
+    # window ends by strided slices, a subset out of column order, and
+    # one window over the whole stream
+    yield "entropy/labels", ["entropy", "--input", "inputs/labels.csv"], 0
+    for name, argv in (
+            ("synergy-w8-s3", ["--window", "8", "--stride", "3"]),
+            ("synergy-ca-w50-s7", ["--subset", "c", "a", "--window", "50",
+                                   "--stride", "7"]),
+            ("synergy-w600", ["--window", "600"])):
+        yield (f"{name}/labels",
+               ["synergy", "--input", "inputs/labels.csv", *argv], 0)
     for argv, _ in FAILING_RUNS:
         inputs = [] if argv[0] == "synth" else ["--input", corn33]
         yield "fail/" + "_".join(argv), [*argv, *inputs], 1
@@ -146,6 +170,7 @@ def main() -> int:
     write_pair_csv(inputs / "pair.csv")
     write_two_series_csv(inputs / "two.csv")
     write_xor_csv(inputs / "xor.csv")
+    write_labels_csv(inputs / "labels.csv")
     write_quarter_step_csv(inputs / "quarter_step.csv")
     total = unexpected = 0
     for name, argv, expected in runs():

@@ -14,19 +14,25 @@ net reduction of joint uncertainty (synergy between the variables) and
 positive R as net added variation.
 
 Every entropy here comes from one formula over cell counts c summing to
-w, H = log2(w) - sum c log2(c) / w with empty cells dropped (a
-probability table is the case w = 1), and every table is built from one
-row encoder that indexes categories by first appearance.
+w, H = log2(w) - sum c log2(c) / w with empty cells dropped (one helper
+gives c log2 c; a probability table is the case w = 1), and every table
+is built from one row encoder that indexes categories by first
+appearance.
 
 ``synergy_indicator`` evaluates R over a sliding window of an event
 stream, producing a time-resolved series. It is a sliding-count engine:
-the stream is encoded once into integer codes, each nonempty sub-subset
-gets one mixed-radix key per event, and every window's cell counts come
-from a cumulative sum over the stream, one cell at a time. No table is
-built per window. Relabelling the categories inside a window cannot
-change an entropy, so the series equals a per-window recompute up to
-rounding. For N events and K observed cells per marginal the cost is
-O((2^n - 1) K N), independent of the window length and the stride.
+each distinct row of the stream is encoded once into integer codes, and
+each nonempty sub-subset gets one mixed-radix key per distinct row,
+renumbered densely and gathered to the events. Each cell of that key
+then costs five passes: the events in the cell, their cumulative sum,
+its difference over every window as two strided slices, a lookup of
+c log2 c for each count in a table for 0..window, and an add into the
+sub-subset's sum, in cell order. No table is built per window and
+memory stays O(N) per sub-subset. Relabelling the categories inside a
+window cannot change an entropy, so the series equals a per-window
+recompute up to rounding. For N events and K observed cells per
+marginal the cost is O((2^n - 1) K N), independent of the window
+length and the stride.
 """
 from __future__ import annotations
 
@@ -126,40 +132,45 @@ class RedundancySeries:
     redundancy_bits: np.ndarray
 
 
-def _encode_rows(rows, arity: int) -> tuple[np.ndarray, tuple[tuple, ...]]:
-    """Integer codes, one column per variable, and the labels they index.
+def _encode_rows(rows, arity: int
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple, ...]]:
+    """Each distinct row's integer codes, each row's distinct-row index,
+    and the labels the codes index.
 
-    Every row's arity is checked before anything is encoded. Categories
-    are indexed by first appearance, independently in each column.
+    A row is looked up once, whole. Categories are indexed by first
+    appearance, independently in each column; a label's first appearance
+    is also its row's, so encoding the distinct rows in order of first
+    appearance numbers every column as the rows themselves would. The
+    first row of a wrong arity is reported before anything is counted.
     """
-    rows = [tuple(row) for row in rows]
-    for row in rows:
+    index: dict = {}
+    inverse = np.array([index.setdefault(tuple(row), len(index))
+                        for row in rows], dtype=np.intp)
+    distinct = list(index)
+    for row in distinct:
         if len(row) != arity:
             raise ValueError(
                 f"row arity {len(row)} does not match {arity} variables"
             )
-    codes = np.empty((len(rows), arity), dtype=np.int64)
+    codes = np.empty((len(distinct), arity), dtype=np.int64)
     categories = []
     for j in range(arity):
-        index: dict = {}
-        codes[:, j] = [index.setdefault(row[j], len(index)) for row in rows]
-        categories.append(tuple(index))
-    return codes, tuple(categories)
+        labels: dict = {}
+        codes[:, j] = [labels.setdefault(row[j], len(labels))
+                       for row in distinct]
+        categories.append(tuple(labels))
+    return codes, inverse, tuple(categories)
 
 
-def _entropy_bits(count_blocks, total):
-    """H = log2(total) - sum c log2(c) / total in bits; empty cells drop out.
+def _c_log2_c(counts) -> np.ndarray:
+    """c log2(c) per cell, with 0 log2(0) = 0."""
+    counts = np.asarray(counts, dtype=float)
+    return counts * np.log2(np.where(counts > 0.0, counts, 1.0))
 
-    ``count_blocks`` yields arrays of cell counts with the cells on axis 0.
-    Any further axis (one entry per window) is kept, so cells can be
-    handed in one at a time. Probabilities are counts with total 1.
-    """
-    acc = 0.0
-    for counts in count_blocks:
-        counts = np.asarray(counts, dtype=float)
-        positive = np.where(counts > 0.0, counts, 1.0)
-        acc = acc + (counts * np.log2(positive)).sum(axis=0)
-    return np.log2(total) - acc / total
+
+def _entropy_bits(sum_c_log2_c, total):
+    """H = log2(total) - sum c log2(c) / total in bits, from that sum."""
+    return np.log2(total) - sum_c_log2_c / total
 
 
 def _redundancy_sign(n: int) -> float:
@@ -187,16 +198,16 @@ def from_observations(rows, variables) -> ProbabilityTable:
     variables = tuple(variables)
     if not rows:
         raise ValueError("no observations")
-    codes, categories = _encode_rows(rows, len(variables))
+    codes, inverse, categories = _encode_rows(rows, len(variables))
     counts = np.zeros(tuple(len(c) for c in categories), dtype=float)
-    np.add.at(counts, tuple(codes.T), 1.0)
+    counts[tuple(codes.T)] = np.bincount(inverse)
     return ProbabilityTable(variables, counts / counts.sum())
 
 
 def entropy(table: ProbabilityTable, subset) -> float:
     """Joint Shannon entropy of ``subset`` in bits, with 0 log 0 = 0."""
     p = table._marginal_probabilities(subset).ravel()
-    return float(_entropy_bits([p], 1.0))
+    return float(_entropy_bits(_c_log2_c(p).sum(), 1.0))
 
 
 def mutual_information(table: ProbabilityTable, subset) -> float:
@@ -249,30 +260,34 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
     _label_axes(variables, subset)
     if len(subset) < 2:
         raise ValueError("mutual redundancy needs at least two variables")
-    codes, categories = _encode_rows(stream, len(variables))
-    n_events = len(codes)
+    codes, inverse, categories = _encode_rows(stream, len(variables))
+    n_events = len(inverse)
     if window > n_events:
         raise ValueError(
             f"window of {window} exceeds stream length {n_events}"
         )
     starts = np.arange(0, n_events - window + 1, stride)
-    ends = starts + window
+    last = int(starts[-1])
+    c_log2_c = _c_log2_c(np.arange(window + 1))
     cumulative = np.zeros(n_events + 1, dtype=np.int64)
 
-    def window_counts(key, n_cells):
-        for cell in range(n_cells):
-            np.cumsum(key == cell, out=cumulative[1:])
-            yield (cumulative[ends] - cumulative[starts])[np.newaxis]
-
     def window_entropy(combo):
-        # mixed-radix key per event, renumbered densely after each digit
-        key = np.zeros(n_events, dtype=np.int64)
+        # mixed-radix key per distinct row, renumbered densely after each
+        # digit, then gathered to the events
+        key = np.zeros(len(codes), dtype=np.int64)
         for label in combo:
             j = variables.index(label)
             cells, key = np.unique(key * len(categories[j]) + codes[:, j],
                                    return_inverse=True)
-            n_cells = len(cells)
-        return _entropy_bits(window_counts(key, n_cells), window)
+        key = key[inverse]
+        acc = np.zeros(len(starts))
+        for cell in range(len(cells)):
+            np.cumsum(key == cell, out=cumulative[1:])
+            # cumulative[s + window] - cumulative[s] for every start s
+            counts = (cumulative[window:last + window + 1:stride]
+                      - cumulative[:last + 1:stride])
+            acc += c_log2_c[counts]
+        return _entropy_bits(acc, window)
 
     values = _redundancy_sign(len(subset)) * _interaction_information(
         subset, window_entropy)

@@ -482,6 +482,8 @@ def scalogram_to_csv(s: Scalogram, path, comments=()) -> None:
 # fill by fade f = round(255 (1 - |z|)): red at f for z >= 0, blue at f + 256
 _HEAT_COLORS = tuple([f"#ff{f:02x}{f:02x}" for f in range(256)]
                      + [f"#{f:02x}{f:02x}ff" for f in range(256)])
+# each rect's text from its fill on, indexed like _HEAT_COLORS
+_HEAT_TAILS = np.array([f'{c}"/>\n' for c in _HEAT_COLORS], dtype=object)
 
 
 def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
@@ -495,15 +497,17 @@ def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
     fade = np.round(255.0 * (1.0 - np.abs(z))).astype(np.intp)
     colors = np.where(z >= 0.0, fade, fade + 256)
     width, height = n_trans * cell, n_scales * cell
-    starts = [f'<rect x="{j * cell}" y="' for j in range(n_trans)]
+    # one row's rects as [x prefix, y and size, tail] * n_trans
+    pieces = [""] * (3 * n_trans)
+    pieces[0::3] = [f'<rect x="{j * cell}" y="' for j in range(n_trans)]
     size = f'" width="{cell}" height="{cell}" fill="'
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"<!-- {line} -->\n")
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height}" viewBox="0 0 {width} {height}">\n')
-        for i, row in enumerate(colors.tolist()):
-            y = (n_scales - 1 - i) * cell
-            fh.write("".join([f'{start}{y}{size}{_HEAT_COLORS[c]}"/>\n'
-                              for start, c in zip(starts, row)]))
+        for i, tails in enumerate(_HEAT_TAILS[colors]):
+            pieces[1::3] = [f"{(n_scales - 1 - i) * cell}{size}"] * n_trans
+            pieces[2::3] = tails.tolist()
+            fh.write("".join(pieces))
         fh.write("</svg>\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,49 @@ from synwave import infotheory as it
 from conftest import oracle_mutual_information, random_table
 
 XOR_ROWS = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
+
+def encode_oracle(rows):
+    """Codes of every row, one column at a time, by first appearance."""
+    columns = []
+    categories = []
+    for column in zip(*rows):
+        index: dict = {}
+        columns.append([index.setdefault(v, len(index)) for v in column])
+        categories.append(tuple(index))
+    return np.array(columns, dtype=np.int64).T, tuple(categories)
+
+
+def synergy_oracle(stream, variables, subset, window, stride):
+    """The sliding counts one cell at a time over per-event codes: window
+    counts gathered at every window's ends and c log2 c taken per cell,
+    summed in cell order, sub-subsets in ``itertools.combinations`` order."""
+    codes, categories = encode_oracle([tuple(row) for row in stream])
+    n_events = len(codes)
+    starts = np.arange(0, n_events - window + 1, stride)
+    cumulative = np.zeros(n_events + 1, dtype=np.int64)
+
+    def window_entropy(combo):
+        key = np.zeros(n_events, dtype=np.int64)
+        for label in combo:
+            j = variables.index(label)
+            cells, key = np.unique(key * len(categories[j]) + codes[:, j],
+                                   return_inverse=True)
+        acc = 0.0
+        for cell in range(len(cells)):
+            np.cumsum(key == cell, out=cumulative[1:])
+            counts = (cumulative[starts + window]
+                      - cumulative[starts]).astype(float)
+            positive = np.where(counts > 0.0, counts, 1.0)
+            acc = acc + counts * np.log2(positive)
+        return np.log2(window) - acc / window
+
+    total = 0.0
+    for size in range(1, len(subset) + 1):
+        sign = 1.0 if size % 2 == 1 else -1.0
+        for combo in itertools.combinations(subset, size):
+            total += sign * window_entropy(combo)
+    return starts, (1.0 if len(subset) % 2 == 1 else -1.0) * total
 
 
 def xor_table():
@@ -187,6 +232,54 @@ def test_sliding_counts_match_per_window_recompute(data):
     np.testing.assert_array_equal(again.window_starts, series.window_starts)
     np.testing.assert_array_equal(again.redundancy_bits,
                                   series.redundancy_bits)
+
+
+LABELS = st.one_of(st.integers(-3, 9), st.text("ab", min_size=1, max_size=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_synergy_indicator_equals_the_per_cell_oracle_exactly(data):
+    n_vars = data.draw(st.integers(2, 4), label="n_vars")
+    labels = [data.draw(st.lists(LABELS, min_size=1, max_size=8, unique=True),
+                        label=f"labels{j}") for j in range(n_vars)]
+    n_events = data.draw(st.integers(8, 200), label="n_events")
+    # rows from a seeded generator: hypothesis's own lists shrink towards
+    # few cells, where the order of the per-cell adds seldom shows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    stream = list(zip(*(rng.choice(np.array(column, dtype=object), n_events)
+                        for column in labels)))
+    variables = tuple(f"v{i}" for i in range(n_vars))
+    subset = tuple(data.draw(st.permutations(variables), label="order")[
+        :data.draw(st.integers(2, n_vars), label="size")])
+    window = data.draw(st.integers(8, n_events), label="window")
+    stride = data.draw(st.integers(1, n_events + 3), label="stride")
+
+    series = it.synergy_indicator(stream, variables, subset, window, stride)
+    starts, values = synergy_oracle(stream, variables, subset, window,
+                                    stride)
+    np.testing.assert_array_equal(series.window_starts, starts)
+    np.testing.assert_array_equal(series.redundancy_bits, values)
+
+
+def test_encoder_matches_the_per_column_oracle():
+    nan, other_nan = float("nan"), float("nan")
+    rows = [(1.0, "a", nan), (True, "b", nan), ("1", "a", other_nan),
+            (1, "b", nan), (1.0, "a", nan), (2, "c", other_nan)]
+    codes, inverse, categories = it._encode_rows(rows, 3)
+    want_codes, want_categories = encode_oracle(rows)
+    np.testing.assert_array_equal(codes[inverse], want_codes)
+    assert len(codes) == len(set(map(tuple, codes.tolist()))) == 4
+    assert [len(c) for c in categories] == [3, 3, 2]
+    # 1, 1.0 and True share the code of the first object seen, 1.0
+    assert want_codes[:, 0].tolist() == [0, 0, 1, 0, 0, 2]
+    for got, want in zip(categories, want_categories):
+        assert all(g is w for g, w in zip(got, want))
+    assert type(categories[0][0]) is float
+    # one NaN object repeated keeps one code; a second NaN object is new
+    assert want_codes[:, 2].tolist() == [0, 0, 1, 0, 0, 1]
+    assert categories[2][0] is nan and categories[2][1] is other_nan
 
 
 class TestTableValidation:

@@ -604,9 +604,14 @@ class TestScalogramExport:
         assert expected[(0, 0)] == "#fffefe" and expected[(8, 0)] == "#2020ff"
 
     def test_all_zero_svg_is_white(self, tmp_path):
-        scalogram = lcwt.Scalogram(np.arange(5.0), np.array([1.0, 2.0, 3.0]),
-                                   np.zeros((3, 5)))
-        path = tmp_path / "scalogram.svg"
-        lcwt.scalogram_to_svg(scalogram, path)
-        fills = svg_fills(path)
-        assert len(fills) == 15 and set(fills.values()) == {"#ffffff"}
+        # a one-row grid too
+        for n_scales in (3, 1):
+            scalogram = lcwt.Scalogram(np.arange(5.0),
+                                       np.arange(1.0, n_scales + 1.0),
+                                       np.zeros((n_scales, 5)))
+            path = tmp_path / "scalogram.svg"
+            lcwt.scalogram_to_svg(scalogram, path)
+            fills = svg_fills(path)
+            assert set(fills) == {(4 * j, 4 * i) for j in range(5)
+                                  for i in range(n_scales)}
+            assert set(fills.values()) == {"#ffffff"}
