@@ -25,9 +25,11 @@ seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
 ``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``, ``entropy``
 and ``synergy`` on a 256-row xor stream; ``entropy`` and three
 ``synergy`` runs (window 8 stride 3, subset ``c a`` window 50 stride 7,
-window 600) on 600 seeded rows of three five-label string columns; and
-every exit-1 case of ``FAILING_RUNS`` in tests/test_cli.py. The script
-exits 1 when a run's exit code is not the expected one.
+window 600) on 600 seeded rows of three five-label string columns;
+``synergy --window 64`` and ``--window 63 --stride 5`` on 400 seeded
+rows with a constant run of 140 rows; and every exit-1 case of
+``FAILING_RUNS`` in tests/test_cli.py. The script exits 1 when a run's
+exit code is not the expected one.
 """
 import argparse
 import contextlib
@@ -72,6 +74,16 @@ def write_labels_csv(path):
     path.write_text("a,b,c\n" + "".join(
         f"{names[x]},{names[y]},{names[z]}\n"
         for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())))
+
+
+def write_run_csv(path):
+    """400 seeded rows of columns ``a``, ``b`` and ``c`` (four, four and
+    three labels) with rows 150-289 one constant row."""
+    rng = np.random.default_rng(2)
+    rows = np.column_stack([rng.integers(0, k, 400) for k in (4, 4, 3)])
+    rows[150:290] = (3, 1, 2)
+    path.write_text("a,b,c\n" + "".join(
+        f"{a},{b},{c}\n" for a, b, c in rows.tolist()))
 
 
 def write_quarter_step_csv(path):
@@ -138,6 +150,11 @@ def runs():
             ("synergy-w600", ["--window", "600"])):
         yield (f"{name}/labels",
                ["synergy", "--input", "inputs/labels.csv", *argv], 0)
+    # a constant run longer than the window fills one cell's bit field
+    # with the whole window
+    for name, argv in (("synergy-w64", ["--window", "64"]),
+                       ("synergy-w63-s5", ["--window", "63", "--stride", "5"])):
+        yield (f"{name}/run", ["synergy", "--input", "inputs/run.csv", *argv], 0)
     for argv, _ in FAILING_RUNS:
         inputs = [] if argv[0] == "synth" else ["--input", corn33]
         yield "fail/" + "_".join(argv), [*argv, *inputs], 1
@@ -171,6 +188,7 @@ def main() -> int:
     write_two_series_csv(inputs / "two.csv")
     write_xor_csv(inputs / "xor.csv")
     write_labels_csv(inputs / "labels.csv")
+    write_run_csv(inputs / "run.csv")
     write_quarter_step_csv(inputs / "quarter_step.csv")
     total = unexpected = 0
     for name, argv, expected in runs():

@@ -23,20 +23,25 @@ appearance.
 stream, producing a time-resolved series. It is a sliding-count engine:
 each distinct row of the stream is encoded once into integer codes, and
 each nonempty sub-subset gets one mixed-radix key per distinct row,
-renumbered densely and gathered to the events. Each cell of that key
-then costs five passes: the events in the cell, their cumulative sum,
-its difference over every window as two strided slices, a lookup of
-c log2 c for each count in a table for 0..window, and an add into the
-sub-subset's sum, in cell order. No table is built per window and
-memory stays O(N) per sub-subset. Relabelling the categories inside a
-window cannot change an entropy, so the series equals a per-window
-recompute up to rounding. For N events and K observed cells per
-marginal the cost is O((2^n - 1) K N), independent of the window
-length and the stride.
+renumbered densely and gathered to the events. A window holds at most
+``window`` events of a cell, so a count fits in b bits, the bit length
+of the window, and one 64-bit running sum carries g = 63 // b cells in
+separate bit fields. Each group of g cells costs one pass: a weight
+2^(b i) for the group's i-th cell gathered to the events, its cumulative
+sum (which may wrap modulo 2^64), and one difference over every window as
+two strided slices, exact and below 2^63. Each cell then costs its field
+shifted down and masked, a lookup of c log2 c for each count in a table
+for 0..window, and an add into the sub-subset's sum, in cell order. No
+table is built per window and memory stays O(N) per sub-subset.
+Relabelling the categories inside a window cannot change an entropy, so
+the series equals a per-window recompute up to rounding. For N events
+and K observed cells per marginal the cost is
+O((2^n - 1) (ceil(K / g) N + K N / stride)).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +167,15 @@ def _encode_rows(rows, arity: int
     return codes, inverse, tuple(categories)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, or a TypeError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}") from None
+
+
 def _c_log2_c(counts) -> np.ndarray:
     """c log2(c) per cell, with 0 log2(0) = 0."""
     counts = np.asarray(counts, dtype=float)
@@ -253,6 +267,8 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
     """
     variables = tuple(variables)
     subset = tuple(subset)
+    window = _integer(window, "window")
+    stride = _integer(stride, "stride")
     if window < 8:
         raise ValueError("window must be at least 8 samples")
     if stride < 1:
@@ -269,7 +285,12 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
     starts = np.arange(0, n_events - window + 1, stride)
     last = int(starts[-1])
     c_log2_c = _c_log2_c(np.arange(window + 1))
-    cumulative = np.zeros(n_events + 1, dtype=np.int64)
+    # `per_sum` cells per wrapping running sum, one `bits`-bit field each;
+    # a window's difference is exact and below 2**63, so it reads as int64
+    bits = window.bit_length()
+    per_sum = 63 // bits
+    mask = (1 << bits) - 1
+    cumulative = np.zeros(n_events + 1, dtype=np.uint64)
 
     def window_entropy(combo):
         # mixed-radix key per distinct row, renumbered densely after each
@@ -281,12 +302,16 @@ def synergy_indicator(stream, variables, subset, window: int, stride: int) -> Re
                                    return_inverse=True)
         key = key[inverse]
         acc = np.zeros(len(starts))
-        for cell in range(len(cells)):
-            np.cumsum(key == cell, out=cumulative[1:])
+        for first in range(0, len(cells), per_sum):
+            shifts = range(0, bits * min(per_sum, len(cells) - first), bits)
+            weight = np.zeros(len(cells), dtype=np.uint64)
+            weight[first:first + len(shifts)] = [1 << s for s in shifts]
+            np.cumsum(weight[key], out=cumulative[1:])
             # cumulative[s + window] - cumulative[s] for every start s
-            counts = (cumulative[window:last + window + 1:stride]
-                      - cumulative[:last + 1:stride])
-            acc += c_log2_c[counts]
+            fields = (cumulative[window:last + window + 1:stride]
+                      - cumulative[:last + 1:stride]).view(np.int64)
+            for shift in shifts:
+                acc += c_log2_c[(fields >> shift) & mask]
         return _entropy_bits(acc, window)
 
     values = _redundancy_sign(len(subset)) * _interaction_information(

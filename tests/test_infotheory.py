@@ -234,6 +234,14 @@ def test_sliding_counts_match_per_window_recompute(data):
                                   series.redundancy_bits)
 
 
+def assert_equals_the_oracle(stream, variables, subset, window, stride):
+    series = it.synergy_indicator(stream, variables, subset, window, stride)
+    starts, values = synergy_oracle(stream, variables, subset, window,
+                                    stride)
+    np.testing.assert_array_equal(series.window_starts, starts)
+    np.testing.assert_array_equal(series.redundancy_bits, values)
+
+
 LABELS = st.one_of(st.integers(-3, 9), st.text("ab", min_size=1, max_size=2))
 
 
@@ -255,12 +263,70 @@ def test_synergy_indicator_equals_the_per_cell_oracle_exactly(data):
         :data.draw(st.integers(2, n_vars), label="size")])
     window = data.draw(st.integers(8, n_events), label="window")
     stride = data.draw(st.integers(1, n_events + 3), label="stride")
+    assert_equals_the_oracle(stream, variables, subset, window, stride)
 
-    series = it.synergy_indicator(stream, variables, subset, window, stride)
-    starts, values = synergy_oracle(stream, variables, subset, window,
-                                    stride)
-    np.testing.assert_array_equal(series.window_starts, starts)
-    np.testing.assert_array_equal(series.redundancy_bits, values)
+
+def test_window_8_packs_fifteen_cells_per_sum_and_wraps():
+    # every (a, b) pair once, in order, so pair (a, b) is joint cell
+    # 5a + b; then 3,000 seeded events that put two in five on cell 14
+    rng = np.random.default_rng(4)
+    pairs = [(a, b) for a in range(5) for b in range(5)]
+    drawn = np.where(rng.random(3000) < 0.4, 14, rng.integers(0, 25, 3000))
+    stream = pairs + [pairs[i] for i in drawn.tolist()]
+    variables = ("a", "b")
+    # the 25 joint cells split 15 + 10 over two sums of 4-bit fields; cell
+    # 14 takes the top field of the first, at bit 56, and its running sum
+    # passes 2**64
+    assert stream.count(pairs[14]) >= 2**64 >> 56
+    for stride in (1, 3):
+        assert_equals_the_oracle(stream, variables, variables, 8, stride)
+
+
+@pytest.mark.parametrize("window", [63, 64, 127, 128])
+def test_a_field_holds_a_whole_window(window):
+    # 4 x 4 x 3 labels, so marginals of up to 48 cells fill several sums
+    # at every field width; a constant run fills one cell for a whole
+    # window
+    rng = np.random.default_rng(window)
+    stream = list(zip(rng.integers(0, 4, 700).tolist(),
+                      rng.integers(0, 4, 700).tolist(),
+                      rng.integers(0, 3, 700).tolist()))
+    stream[200:200 + window + 30] = [(3, 1, 2)] * (window + 30)
+    variables = ("a", "b", "c")
+    for subset in (variables, ("c", "a")):
+        for stride in (1, 5):
+            assert_equals_the_oracle(stream, variables, subset, window,
+                                     stride)
+
+
+def test_one_window_over_the_whole_stream_with_a_stride():
+    rng = np.random.default_rng(11)
+    stream = list(zip(rng.integers(0, 6, 300).tolist(),
+                      rng.integers(0, 5, 300).tolist()))
+    for stride in (2, 7, 301):
+        assert_equals_the_oracle(stream, ("a", "b"), ("b", "a"), 300, stride)
+
+
+def test_window_and_stride_take_any_integer():
+    rng = np.random.default_rng(2)
+    stream = list(zip(rng.integers(0, 3, 200).tolist(),
+                      rng.integers(0, 3, 200).tolist()))
+    want = it.synergy_indicator(stream, ("a", "b"), ("a", "b"), 8, 3)
+    for window, stride in ((np.int64(8), np.int64(3)), (np.int32(8), 3),
+                           (8, np.uint8(3))):
+        got = it.synergy_indicator(stream, ("a", "b"), ("a", "b"), window,
+                                   stride)
+        np.testing.assert_array_equal(got.window_starts, want.window_starts)
+        np.testing.assert_array_equal(got.redundancy_bits,
+                                      want.redundancy_bits)
+
+
+@pytest.mark.parametrize("window, stride, name", [
+    (8.0, 1, "window"), (8, 1.5, "stride")])
+def test_non_integer_window_or_stride_rejected(window, stride, name):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        it.synergy_indicator([(0, 1)] * 16, ("a", "b"), ("a", "b"),
+                             window, stride)
 
 
 def test_encoder_matches_the_per_column_oracle():
