@@ -11,9 +11,12 @@ Each handler only computes: it returns its exit code, the files to write
 and its console lines, or raises on bad input. ``main`` alone creates the
 output directory, after the handler returns, writes every file and prints
 one ``wrote`` line per file, so an exit 1 writes nothing. Every artifact
-records the parsed command line (the subcommand and every option, the
-seed included) without the output directory, so re-running an identical
-command reproduces byte-identical files wherever they are written.
+but a ``synth`` CSV records the parsed command line (the subcommand and
+every option, the seed included) without the output directory, so
+re-running an identical command reproduces byte-identical files wherever
+they are written; a ``synth`` CSV records the generator's parameters
+instead. ``--seed`` changes only ``synth``'s data; elsewhere it is only
+recorded.
 """
 from __future__ import annotations
 

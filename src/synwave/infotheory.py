@@ -92,23 +92,6 @@ class ProbabilityTable:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probabilities", probs)
 
-    def axes_of(self, subset) -> tuple[int, ...]:
-        """Axis indices of the given variable labels, in subset order."""
-        return _label_axes(self.variables, tuple(subset))
-
-    def _marginal_probabilities(self, subset) -> np.ndarray:
-        """Probabilities summed over the other axes, in subset axis order."""
-        subset = tuple(subset)
-        if not subset:
-            raise ValueError("empty subset")
-        keep = self.axes_of(subset)
-        drop = tuple(i for i in range(len(self.variables)) if i not in keep)
-        marg = self.probabilities.sum(axis=drop) if drop else self.probabilities
-        # sum() over axes preserves the original axis order; permute to subset order
-        kept_order = [i for i in range(len(self.variables)) if i in keep]
-        perm = [kept_order.index(i) for i in keep]
-        return np.transpose(marg, perm)
-
 
 @dataclass(frozen=True)
 class InformationReport:
@@ -219,8 +202,14 @@ def from_observations(rows, variables) -> ProbabilityTable:
 
 
 def entropy(table: ProbabilityTable, subset) -> float:
-    """Joint Shannon entropy of ``subset`` in bits, with 0 log 0 = 0."""
-    p = table._marginal_probabilities(subset).ravel()
+    """Joint Shannon entropy of ``subset`` in bits, with 0 log 0 = 0.
+
+    The marginal keeps the table's axis order, whatever the subset's."""
+    keep = _label_axes(table.variables, tuple(subset))
+    if not keep:
+        raise ValueError("empty subset")
+    drop = tuple(i for i in range(len(table.variables)) if i not in keep)
+    p = table.probabilities.sum(axis=drop).ravel()
     return float(_entropy_bits(_c_log2_c(p).sum(), 1.0))
 
 

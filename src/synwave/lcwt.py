@@ -190,15 +190,18 @@ def _filter_bank(n: int, dt: float, scales: tuple[float, ...]) -> _FilterBank:
 
     Each kernel is laid left-aligned in one (scales x nfft) array and
     transformed in one batch; row i of the correlation starts at
-    ``pad + radius_i``. One key is kept: the scales of an extraction are
-    fixed across its passes, and a new key replaces the bank.
+    ``pad + radius_i``, where radius_i = max(ceil(15 a_i), 2). The pad is
+    the largest radius, so no kernel reads the FFT's zeros. One key is
+    kept: the scales of an extraction are fixed across its passes, and a
+    new key replaces the bank.
     """
-    pad = int(np.ceil(KERNEL_RADIUS_PER_SCALE * max(scales)))
+    radii = [max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
+             for a in scales]
+    pad = max(radii)
     nfft = 1 << int(np.ceil(np.log2(n + 4 * pad + 1)))
     kernels = np.zeros((len(scales), nfft))
     starts = np.empty((len(scales), 1), dtype=np.intp)
-    for row, a in enumerate(scales):
-        radius = max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
+    for row, (a, radius) in enumerate(zip(scales, radii)):
         u = np.arange(-radius, radius + 1, dtype=float)
         kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
         kernel -= kernel.mean()

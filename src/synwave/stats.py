@@ -200,10 +200,11 @@ def engle_granger(y: TimeSeries, x: TimeSeries) -> CointegrationResult:
 
 
 def simulate_adf_rejection_rate(process: str, reps: int, n: int,
-                                level: str = "5%", kind: str = "constant",
-                                phi: float = 0.5, seed: int = 0,
-                                lags: int | str = "auto") -> float:
-    """Monte Carlo rejection rate of the unit-root test, one rng per rep.
+                                level: str = "5%", phi: float = 0.5,
+                                seed: int = 0, lags: int | str = "auto"
+                                ) -> float:
+    """Monte Carlo rejection rate of the constant-only unit-root test,
+    one rng per rep.
 
     ``process`` is ``random_walk`` (size check), ``ar1`` with the given
     coefficient, or ``white_noise`` (power checks). ``lags`` passes
@@ -229,7 +230,7 @@ def simulate_adf_rejection_rate(process: str, reps: int, n: int,
         else:
             raise ValueError(f"unknown process {process!r}")
         result = adf_test(TimeSeries(np.arange(n, dtype=float), y),
-                          lags=lags, kind=kind)
+                          lags=lags)
         if (result.reject_at is not None
                 and _LEVELS.index(result.reject_at) <= order):
             rejections += 1
