@@ -27,6 +27,7 @@ opposing series whose difference reconstructs the extracted signal content.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,43 +176,53 @@ def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _FilterBank:
-    """Kernel spectra of one (length, step, scale grid) key."""
+class _Band:
+    """Kernel spectra of consecutive scales that share one FFT length."""
 
+    rows: slice               # the band's rows of the scale grid
     pad: int                  # reflected samples on either side
     nfft: int
-    spectra: np.ndarray       # (scales, nfft // 2 + 1), read-only
-    starts: np.ndarray        # (scales, 1) first output index of each row
+    spectra: np.ndarray       # (rows, nfft // 2 + 1), read-only
 
 
 @functools.lru_cache(maxsize=1)
-def _filter_bank(n: int, dt: float, scales: tuple[float, ...]) -> _FilterBank:
-    """Spectra of the reversed zero-sum kernels of every scale.
+def _filter_bank(n: int, dt: float, scales: tuple[float, ...]
+                 ) -> tuple[_Band, ...]:
+    """Spectra of the reversed zero-sum kernels, one band per FFT length.
 
-    Each kernel is laid left-aligned in one (scales x nfft) array and
-    transformed in one batch; row i of the correlation starts at
-    ``pad + radius_i``, where radius_i = max(ceil(15 a_i), 2). The pad is
-    the largest radius, so no kernel reads the FFT's zeros. One key is
-    kept: the scales of an extraction are fixed across its passes, and a
-    new key replaces the bank.
+    Row i has radius r_i = max(ceil(15 a_i), 2) and needs the smallest
+    power of two >= n + 2 r_i; each run of consecutive scales that share
+    that length is one band, transformed in one batch. A band reflects the
+    series by its largest radius, its pad. Each kernel is centred on index
+    0, negative offsets wrapping to the end, so output t in [pad, pad + n)
+    reads only padded samples t + u with |u| <= r_i <= pad: the circular
+    product never wraps, and the band's outputs are columns pad .. pad + n
+    of every row. One key is kept: the scales of an extraction are fixed
+    across its passes, and a new key replaces the bank.
     """
     radii = [max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
              for a in scales]
-    pad = max(radii)
-    nfft = 1 << int(np.ceil(np.log2(n + 4 * pad + 1)))
-    kernels = np.zeros((len(scales), nfft))
-    starts = np.empty((len(scales), 1), dtype=np.intp)
-    for row, (a, radius) in enumerate(zip(scales, radii)):
-        u = np.arange(-radius, radius + 1, dtype=float)
-        kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
-        kernel -= kernel.mean()
-        # correlation = convolution with the reversed kernel
-        kernels[row, :kernel.size] = kernel[::-1]
-        starts[row] = pad + radius
-    spectra = np.fft.rfft(kernels, axis=-1)
-    spectra.setflags(write=False)
-    starts.setflags(write=False)
-    return _FilterBank(pad, nfft, spectra, starts)
+    lengths = [1 << (n + 2 * radius - 1).bit_length() for radius in radii]
+    bands = []
+    start = 0
+    # the grid increases, so radii and lengths never decrease along it
+    for nfft, group in itertools.groupby(lengths):
+        stop = start + len(list(group))
+        kernels = np.zeros((stop - start, nfft))
+        for row, a, radius in zip(kernels, scales[start:stop],
+                                  radii[start:stop]):
+            u = np.arange(-radius, radius + 1, dtype=float)
+            kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
+            kernel -= kernel.mean()
+            # correlation = convolution with the reversed kernel
+            reversed_kernel = kernel[::-1]
+            row[:radius + 1] = reversed_kernel[radius:]
+            row[nfft - radius:] = reversed_kernel[:radius]
+        spectra = np.fft.rfft(kernels, axis=-1)
+        spectra.setflags(write=False)
+        bands.append(_Band(slice(start, stop), radii[stop - 1], nfft, spectra))
+        start = stop
+    return tuple(bands)
 
 
 def cwt(series: TimeSeries, scales=None) -> Scalogram:
@@ -219,12 +230,15 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
 
     Each sampled kernel is shifted to sum to zero, as the mother wavelet
     integrates to zero; at sub-sample scales the samples alone do not, and
-    a constant offset would leak into the finest rows. Boundaries are
-    handled by reflecting the series over the widest kernel's radius. All
-    scales correlate in one product with the FFT of the padded signal
-    (Torrence & Compo 1998), against a filter bank kept for the last
-    (length, step, scales) key, so the passes of an extraction build it
-    once.
+    a constant offset would leak into the finest rows. Each scale is a
+    product in Fourier space (Torrence & Compo 1998) against a filter bank
+    kept for the last (length, step, scales) key, so the passes of an
+    extraction build it once. The bank splits the grid into bands of
+    consecutive scales that share an FFT length, the smallest power of two
+    >= n + 2 r for a kernel radius r = max(ceil(15 a), 2); each band
+    reflects the series over its widest kernel's radius and takes one FFT
+    of it. Kernels are centred on index 0, so no row pays for a wider
+    kernel's length.
     """
     if len(series) < 2:
         raise ValueError("series too short for a transform")
@@ -234,11 +248,12 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
     scales = np.array(scales, dtype=float)
     _check_scale_grid(scales)
     n = len(series)
-    bank = _filter_bank(n, series.dt, tuple(scales.tolist()))
-    padded = np.pad(series.values, bank.pad, mode="reflect")
-    spectrum = np.fft.rfft(padded, bank.nfft)
-    conv = np.fft.irfft(spectrum * bank.spectra, bank.nfft, axis=-1)
-    coefficients = np.take_along_axis(conv, bank.starts + np.arange(n), axis=1)
+    coefficients = np.empty((scales.size, n))
+    for band in _filter_bank(n, series.dt, tuple(scales.tolist())):
+        padded = np.pad(series.values, band.pad, mode="reflect")
+        spectrum = np.fft.rfft(padded, band.nfft)
+        conv = np.fft.irfft(spectrum * band.spectra, band.nfft, axis=-1)
+        coefficients[band.rows] = conv[:, band.pad:band.pad + n]
     return Scalogram(series.times.copy(), scales, coefficients)
 
 
@@ -344,16 +359,19 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     into joint least-squares positions instead of accumulating greedy
     bias; seed cells follow their pulse by center order). The refit that
     explains the most energy is kept; a weaker-|W| seed displaces a
-    stronger one only by more than 1e-9 of the energy. The first pass's
-    transform, that of the series itself, is returned as ``scalogram``.
-    The loop stops when the rms of the centered residual falls below
-    ``energy_stop`` of the original rms, when ``max_waves`` are retained
-    or as many as the series has room for (``max_pulses``), or when no
-    seed (amplitude at least 5 noise levels) gives a sane refit that
-    reduces the energy. A series with room for no pulse (fewer than 5
-    samples) raises. ``energy_history`` records centered sums of squares,
-    which are asserted non-increasing; ``low_confidence`` flags runs that
-    left more than half of that energy unexplained.
+    stronger one only by more than 1e-9 of the energy. A seed is skipped
+    when its center lies within the half-maximum half-width
+    ln(1 + sqrt 2) / k of any pulse that an earlier refit of the same pass
+    returned, kept or not: such a seed tends to repeat that refit. The
+    first pass's transform, that of the series itself, is returned as
+    ``scalogram``. The loop stops when the rms of the centered residual
+    falls below ``energy_stop`` of the original rms, when ``max_waves``
+    are retained or as many as the series has room for (``max_pulses``),
+    or when no seed (amplitude at least 5 noise levels) gives a sane
+    refit that reduces the energy. A series with room for no pulse (fewer
+    than 5 samples) raises. ``energy_history`` records centered sums of
+    squares, which are asserted non-increasing; ``low_confidence`` flags
+    runs that left more than half of that energy unexplained.
     """
     if max_waves < 1:
         raise ValueError("max_waves must be at least 1")
@@ -379,7 +397,11 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
             chain = (chain_fit.model if chain_fit
                      else SolitonChainModel(float(series.values.mean()), ()))
             best = None
+            refitted: list[SolitonComponent] = []
             for cell in _candidate_cells(scalogram, count=3):
+                if any(abs(cell[1] - p.center) <= _HALF_MAX_CONST / p.k
+                       for p in refitted):
+                    continue
                 seed = _seed_estimate(cell, current)
                 if noise > 0.0 and abs(seed.amplitude) < _SNR * noise:
                     continue
@@ -387,6 +409,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                               key=lambda pair: pair[0].center)
                 result = fit_soliton_chain(series, init=SolitonChainModel(
                     chain.beta, tuple(pulse for pulse, _ in pool)))
+                refitted.extend(result.model.components)
                 if not _refit_sane(result.model.components, series):
                     continue
                 reconstruction = chain_eval(

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,23 +55,27 @@ def pulse_series(amplitude=1.0, k=0.05, center=500.0, n=1000):
 
 
 def cwt_oracle(series, scales):
-    """The transform one scale at a time: each zero-sum kernel's own FFT
-    against the shared FFT of the reflected series."""
+    """The transform one scale at a time: each zero-sum kernel, reversed
+    and centred on index 0, at its own FFT length against the series
+    reflected by the pad of its band, the largest radius among the rows of
+    that length."""
     scales = np.asarray(scales, dtype=float)
     n = len(series)
-    pad = max(int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * scales.max())), 2)
-    padded = np.pad(series.values, pad, mode="reflect")
-    nfft = 1 << int(np.ceil(np.log2(padded.size + 2 * pad + 1)))
-    spectrum = np.fft.rfft(padded, nfft)
+    radii = [max(int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * a)), 2)
+             for a in scales]
+    lengths = [1 << int(np.ceil(np.log2(n + 2 * r))) for r in radii]
     coefficients = np.empty((scales.size, n))
-    for row, a in enumerate(scales):
-        radius = max(int(np.ceil(lcwt.KERNEL_RADIUS_PER_SCALE * a)), 2)
-        u = np.arange(-radius, radius + 1, dtype=float)
+    for row, (a, radius, nfft) in enumerate(zip(scales, radii, lengths)):
+        pad = max(r for r, m in zip(radii, lengths) if m == nfft)
+        spectrum = np.fft.rfft(np.pad(series.values, pad, mode="reflect"),
+                               nfft)
+        u = np.arange(-radius, radius + 1)
         kernel = lcwt.mother_wavelet(u / a) * (series.dt / np.sqrt(a))
         kernel -= kernel.mean()
-        kernel_fft = np.fft.rfft(kernel[::-1], nfft)
-        conv = np.fft.irfft(spectrum * kernel_fft, nfft)
-        coefficients[row, :] = conv[pad + radius: pad + radius + n]
+        centred = np.zeros(nfft)
+        centred[-u % nfft] = kernel
+        conv = np.fft.irfft(spectrum * np.fft.rfft(centred), nfft)
+        coefficients[row, :] = conv[pad:pad + n]
     return coefficients
 
 
@@ -122,8 +127,10 @@ class TestCwt:
     def test_matches_direct_convolution(self):
         # each kernel reflects the series over its own radius, so the end
         # samples see the reflection however narrow the grid
+        # n = 1,000 on its default grid spans three FFT lengths
         for n, grid, seed in [(200, [1.0, 3.0, 7.0], 8), (5, [0.0625], 0),
-                              (9, [0.03, 0.05], 0)]:
+                              (9, [0.03, 0.05], 0),
+                              (1000, lcwt.default_scales(1000), 1)]:
             x = np.random.default_rng(seed).standard_normal(n)
             scales = np.array(grid)
             coefficients = lcwt.cwt(fit.TimeSeries(np.arange(float(n)), x),
@@ -222,12 +229,25 @@ class TestFilterBank:
         first.coefficients[:] = 7.0
         first.scales[:] = 99.0
         assert np.array_equal(lcwt.cwt(series, grid).coefficients, expected)
-        bank = lcwt._filter_bank(len(series), series.dt,
-                                 tuple(first.scales.tolist()))
-        with pytest.raises(ValueError, match="read-only"):
-            bank.spectra[0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            bank.starts[0, 0] = 0
+        bands = lcwt._filter_bank(len(series), series.dt,
+                                  tuple(grid.tolist()))
+        assert len(bands) > 1
+        for band in bands:
+            with pytest.raises(ValueError, match="read-only"):
+                band.spectra[0, 0] = 0.0
+
+    def test_a_fine_grid_on_a_long_series_stays_small(self):
+        # one FFT length for every scale peaked near 200 MB here
+        series = pulse_series(k=0.05, center=800.0, n=1601)
+        scales = np.geomspace(2.0, 120.0, 512)
+        lcwt._filter_bank.cache_clear()
+        tracemalloc.start()
+        try:
+            lcwt.cwt(series, scales)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, peak
 
 
 class TestWaveletScaleConstant:
@@ -403,6 +423,27 @@ class TestExtractWaves:
                 assert wo.scalogram_peak[:2] == wb.scalogram_peak[:2], seed
                 assert wo.scalogram_peak[2] == pytest.approx(
                     wb.scalogram_peak[2], rel=1e-9)
+
+    def test_no_pass_refits_the_same_chain_twice(self, monkeypatch):
+        # a pass's refits all hold its pulse count; without the seed merge
+        # these series repeat 89 chains within a pass
+        refits = []
+
+        def recording(series, n=None, init=None):
+            result = fit.fit_soliton_chain(series, n, init)
+            pulses = sorted(result.model.components, key=lambda p: p.center)
+            refits.append(np.array([result.model.beta] + [
+                x for p in pulses for x in (p.amplitude, p.k, p.center)]))
+            return result
+
+        monkeypatch.setattr(lcwt, "fit_soliton_chain", recording)
+        for seed in range(40):
+            refits.clear()
+            lcwt.extract_waves(synth.corn_like_series(seed))
+            for i, later in enumerate(refits):
+                for earlier in refits[:i]:
+                    assert not (earlier.size == later.size and np.allclose(
+                        later, earlier, rtol=1e-6, atol=0.0)), seed
 
     def test_scalogram_is_the_first_pass_transform(self):
         series = synth.corn_like_series(33)
