@@ -20,13 +20,16 @@ def main() -> int:
 
     print(f"{'n':>6} {'size(walk)':>11} {'power(ar1)':>11} {'power(noise)':>13}")
     for n in (100, 250, 500):
-        size = stats.simulate_adf_rejection_rate(
-            "random_walk", args.reps, n, "5%", seed=args.seed)
-        power_ar = stats.simulate_adf_rejection_rate(
-            "ar1", args.reps, n, "5%", phi=args.phi,
-            seed=args.seed + 1, lags=4)
-        power_noise = stats.simulate_adf_rejection_rate(
-            "white_noise", args.reps, n, "5%", seed=args.seed + 2, lags=4)
+        try:
+            size = stats.simulate_adf_rejection_rate(
+                "random_walk", args.reps, n, "5%", seed=args.seed)
+            power_ar = stats.simulate_adf_rejection_rate(
+                "ar1", args.reps, n, "5%", phi=args.phi,
+                seed=args.seed + 1, lags=4)
+            power_noise = stats.simulate_adf_rejection_rate(
+                "white_noise", args.reps, n, "5%", seed=args.seed + 2, lags=4)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"{n:6d} {size:11.3f} {power_ar:11.3f} {power_noise:13.3f}")
     return 0
 

@@ -25,7 +25,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -35,8 +34,6 @@ import numpy as np
 from . import infotheory, lcwt, models, stats, synth
 from .fit import (FitResult, RegressionResult, TimeSeries, fit_soliton_chain,
                   ols)
-
-OUT_DIR_ENV = "SYNWAVE_OUT_DIR"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -48,23 +45,18 @@ _PLOT_WIDTH = 720
 _PLOT_HEIGHT = 360
 
 
-def _fmt(value) -> str:
-    """Console formatting: 6 significant digits for floats."""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    """Console formatting: 6 significant digits."""
+    return f"{value:.6g}"
 
 
 def _sanitize(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats as null."""
+    """JSON-safe copy of a payload of plain Python values: tuples as lists,
+    non-finite floats as null."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -212,13 +204,6 @@ def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tupl
         columns = header
         idx = list(range(len(header)))
     return tuple(columns), [tuple(row[j] for j in idx) for row in rows]
-
-
-def _resolve_out_dir(arg_value) -> Path:
-    out = arg_value or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _write_file(path: Path, body, config: dict) -> None:
@@ -461,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, input_required=True):
         if input_required:
             p.add_argument("--input", required=True, help="input CSV path")
-        p.add_argument("--out-dir", default=None,
-                       help=f"output directory (default ${OUT_DIR_ENV} or .)")
+        p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
 
     def add_series_columns(p):
@@ -551,7 +535,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR if code == 2 else code
     try:
         code, files, lines = args.handler(args)
-        out_dir = _resolve_out_dir(args.out_dir)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         config = _config(args)
         for line in lines:
             print(line)

@@ -175,9 +175,12 @@ def levenberg_marquardt(evaluate, p0):
     iteration, at the last accepted point, and returns that point's
     function last. The damping factor starts at 1e-3, shrinks 10x after
     an accepted step and grows 10x after a rejected one. Converged when
-    the relative SSE drop of an accepted step falls below 1e-10 or the
-    gradient max-norm falls below 1e-8. Returns best-so-far on stall or
-    after 500 iterations.
+    the relative SSE drop of an accepted step falls below 1e-10 or when
+    every Jacobian column is within 1e-8 of orthogonal to the residual,
+    |J_j' r| <= 1e-8 |J_j| |r| (MINPACK's gradient test, More 1978; a
+    zero column passes); both rules are free of the units of the data
+    and the parameters. Returns best-so-far on stall or after 500
+    iterations.
     """
     params = np.asarray(p0, dtype=float).copy()
     residual, jacobian = evaluate(params)
@@ -191,11 +194,11 @@ def levenberg_marquardt(evaluate, p0):
     for iterations in range(1, _MAX_ITERATIONS + 1):
         jac = jacobian()
         grad = jac.T @ residual
-        if float(np.abs(2.0 * grad).max()) < _GRAD_TOL:
-            converged = True
-            break
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
+        if np.all(np.abs(grad) <= _GRAD_TOL * np.sqrt(diag) * np.sqrt(sse)):
+            converged = True
+            break
         diag[diag <= 0.0] = 1.0
         accepted = False
         while damping < _DAMPING_MAX:

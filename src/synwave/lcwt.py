@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fit import FitResult, TimeSeries, fit_soliton_chain, max_pulses, ols
-from .models import (SolitonChainModel, SolitonComponent, _match_input,
-                     _sigmoid, chain_eval, soliton_eval)
+from .models import (SolitonChainModel, SolitonComponent, _sigmoid,
+                     chain_eval, soliton_eval)
 
 DEFAULT_NUM_SCALES = 64
 DEFAULT_MAX_WAVES = 10
@@ -42,8 +42,12 @@ DEFAULT_ENERGY_STOP = 0.05
 # retention gate for candidate waves, in units of the differenced
 # residual's robust noise level
 _SNR = 5.0
-# candidate cells are taken at least this many samples apart
+# each pass seeds at most this many candidate cells, taken at least
+# _MIN_SEPARATION samples apart and at least _EDGE_SCALES scale units
+# from either series end
+_CANDIDATES = 3
 _MIN_SEPARATION = 5.0
+_EDGE_SCALES = 0.5
 # a later-ranked candidate must undercut the best refit's energy by more
 # than this fraction; seeds that converge to the same refit tie within
 # round-off, and the stronger |W| seed keeps the wave then
@@ -161,7 +165,7 @@ class RedundancyDecomposition:
 def mother_wavelet(t):
     """Third derivative of the logistic sigmoid; even and zero-mean."""
     sig = _sigmoid(t)
-    return _match_input(sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig))
+    return sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig)
 
 
 def default_scales(n_samples: int, num: int = DEFAULT_NUM_SCALES) -> np.ndarray:
@@ -290,18 +294,17 @@ def _refit_sane(pulses, series: TimeSeries) -> bool:
     return all(lo <= p.center <= hi and p.k >= k_min for p in pulses)
 
 
-def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5
-                     ) -> list[tuple[float, float, float]]:
+def _candidate_cells(s: Scalogram) -> list[tuple[float, float, float]]:
     """(scale, translation, |W|) of the strongest local |W| maxima.
 
     Local means no smaller than both neighbours along translation; cells
-    with |W| = 0 never qualify. ``min_edge_scales`` skips the boundary
-    fringe, cells closer than that many scale units to either series end,
-    where reflection padding makes coefficients unreliable; the fringe
-    rule is dropped if it would leave no cell. Cells rank by |W|
-    descending, then translation ascending, then scale ascending, and are
-    taken greedily in that order when at least ``_MIN_SEPARATION`` samples
-    from every cell already taken, until ``count`` are chosen.
+    with |W| = 0 never qualify. Cells closer than ``_EDGE_SCALES`` scale
+    units to either series end lie in the boundary fringe, where
+    reflection padding makes coefficients unreliable, and are skipped
+    unless that would leave no cell. Cells rank by |W| descending, then
+    translation ascending, then scale ascending, and are taken greedily in
+    that order when at least ``_MIN_SEPARATION`` samples from every cell
+    already taken, until ``_CANDIDATES`` are chosen.
     """
     magnitude = np.abs(s.coefficients)
     local = magnitude > 0.0
@@ -309,20 +312,19 @@ def _candidate_cells(s: Scalogram, count: int, min_edge_scales: float = 0.5
     local[:, :-1] &= magnitude[:, :-1] >= magnitude[:, 1:]
     b = s.translations
     step = b[1] - b[0] if b.size > 1 else 1.0
-    if min_edge_scales > 0.0:
-        offsets = (b - b[0]) / step
-        margin = min_edge_scales * s.scales[:, None]
-        interior = ((offsets[None, :] >= margin)
-                    & (offsets[-1] - offsets[None, :] >= margin))
-        if interior.any():
-            local &= interior
+    offsets = (b - b[0]) / step
+    margin = _EDGE_SCALES * s.scales[:, None]
+    interior = ((offsets[None, :] >= margin)
+                & (offsets[-1] - offsets[None, :] >= margin))
+    if interior.any():
+        local &= interior
     rows, cols = np.nonzero(local)
     scale, trans = s.scales[rows], b[cols]
     peak = np.abs(s.coefficients[rows, cols])
     ranked = np.lexsort((scale, trans, -peak))
     scale, trans, peak = scale[ranked], trans[ranked], peak[ranked]
     chosen: list[tuple[float, float, float]] = []
-    while trans.size and len(chosen) < count:
+    while trans.size and len(chosen) < _CANDIDATES:
         chosen.append((float(scale[0]), float(trans[0]), float(peak[0])))
         apart = np.abs(trans - trans[0]) >= _MIN_SEPARATION * step
         scale, trans, peak = scale[apart], trans[apart], peak[apart]
@@ -398,7 +400,7 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                      else SolitonChainModel(float(series.values.mean()), ()))
             best = None
             refitted: list[SolitonComponent] = []
-            for cell in _candidate_cells(scalogram, count=3):
+            for cell in _candidate_cells(scalogram):
                 if any(abs(cell[1] - p.center) <= _HALF_MAX_CONST / p.k
                        for p in refitted):
                     continue

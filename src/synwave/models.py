@@ -138,22 +138,15 @@ def _sigmoid(z):
                     np.where(z < -_TAIL_CUTOFF, 0.0, out))
 
 
-def _match_input(value):
-    """Python float for scalar results, the array otherwise."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def logistic_eval(c: LogisticComponent, t):
     """Logistic step value; stable for arguments out to +-700."""
-    out = c.x_sat * _sigmoid(c.s * (np.asarray(t, dtype=float) - c.t0))
-    return _match_input(out)
+    return c.x_sat * _sigmoid(c.s * (np.asarray(t, dtype=float) - c.t0))
 
 
 def soliton_eval(sol: SolitonComponent, t):
     """Pulse value A sech^2(k (t - center)); even about the center."""
     z = sol.k * (np.asarray(t, dtype=float) - sol.center)
-    out = sol.amplitude * _sech_squared(z)
-    return _match_input(out)
+    return sol.amplitude * _sech_squared(z)
 
 
 def _flat_chain(beta, a, k, c, t):
@@ -197,7 +190,7 @@ def chain_eval(m: SolitonChainModel, t):
     """Vertical shift plus the sum of all pulses."""
     t_arr = np.asarray(t, dtype=float)
     value, _, _ = _flat_chain(m.beta, *_pulse_columns(m, t_arr), t_arr)
-    return _match_input(value)
+    return value
 
 
 def cumulative_chain_eval(m: SolitonChainModel, t):
@@ -209,7 +202,7 @@ def cumulative_chain_eval(m: SolitonChainModel, t):
     """
     t_arr = np.asarray(t, dtype=float)
     value, _, _ = _flat_staircase(*_pulse_columns(m, t_arr), t_arr)
-    return _match_input(value)
+    return value
 
 
 def kdv_soliton(k: float, x, t):
@@ -223,8 +216,7 @@ def kdv_soliton(k: float, x, t):
     x_arr = np.asarray(x, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     z = 0.5 * k * (x_arr - k * k * t_arr)
-    out = -0.5 * k * k * _sech_squared(z)
-    return _match_input(out)
+    return -0.5 * k * k * _sech_squared(z)
 
 
 def sample_grid(f, x_grid, t_grid) -> GridFunction:

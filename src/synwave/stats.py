@@ -116,13 +116,13 @@ def adf_test(series: TimeSeries, lags: int | str = "auto",
     """
     if kind not in REGRESSION_KINDS:
         raise ValueError(f"kind must be one of {REGRESSION_KINDS}")
-    return _unit_root(series, lags, kind, _ADF_SURFACES[kind])
+    return _unit_root(series.values, lags, kind, _ADF_SURFACES[kind])
 
 
-def _unit_root(series: TimeSeries, lags: int | str, kind: str,
+def _unit_root(y: np.ndarray, lags: int | str, kind: str,
                surface) -> ADFResult:
-    """``adf_test``'s regression, judged by ``surface`` at its n."""
-    y = series.values
+    """``adf_test``'s regression of the values ``y``, judged by
+    ``surface`` at its n."""
     n = y.size
     if lags == "auto":
         p = schwert_lags(n)
@@ -193,8 +193,7 @@ def engle_granger(y: TimeSeries, x: TimeSeries) -> CointegrationResult:
         )
         return CointegrationResult(step1=step1, residual_adf=degenerate_adf,
                                    cointegrated_at="1%", degenerate=True)
-    residual_adf = _unit_root(TimeSeries(y.times, residuals), "auto", "none",
-                              _ENGLE_GRANGER_SURFACE)
+    residual_adf = _unit_root(residuals, "auto", "none", _ENGLE_GRANGER_SURFACE)
     return CointegrationResult(step1=step1, residual_adf=residual_adf,
                                cointegrated_at=residual_adf.reject_at)
 
@@ -213,6 +212,10 @@ def simulate_adf_rejection_rate(process: str, reps: int, n: int,
     """
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {_LEVELS}")
+    if process not in ("random_walk", "white_noise", "ar1"):
+        raise ValueError(f"unknown process {process!r}")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     order = _LEVELS.index(level)
     rejections = 0
     for rep in range(reps):
@@ -222,13 +225,11 @@ def simulate_adf_rejection_rate(process: str, reps: int, n: int,
             y = np.cumsum(shocks)
         elif process == "white_noise":
             y = shocks
-        elif process == "ar1":
+        else:
             y = np.empty(n)
             y[0] = shocks[0]
             for t in range(1, n):
                 y[t] = phi * y[t - 1] + shocks[t]
-        else:
-            raise ValueError(f"unknown process {process!r}")
         result = adf_test(TimeSeries(np.arange(n, dtype=float), y),
                           lags=lags)
         if (result.reject_at is not None

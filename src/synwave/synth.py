@@ -80,11 +80,13 @@ def write_series_csv(path, series: TimeSeries, comments=()) -> None:
 
 def synthetic_series(kind: str, seed: int, n: int | None = None
                      ) -> tuple[TimeSeries, list[str]]:
-    """One seeded dataset and the comment lines that describe it."""
+    """One seeded dataset and the comment lines that describe it; without
+    ``n`` the generator's own default length applies."""
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
+    length = {} if n is None else {"n": n}
     if kind == "corn-like":
-        series = corn_like_series(seed, n or CORN_SAMPLES)
+        series = corn_like_series(seed, **length)
         params = [
             "kind: corn-like",
             f"seed: {seed}",
@@ -93,10 +95,10 @@ def synthetic_series(kind: str, seed: int, n: int | None = None
             f"noise_fraction: {CORN_NOISE_FRACTION}",
         ]
     elif kind == "patent-like":
-        series = patent_like_series(seed, n or 42)
+        series = patent_like_series(seed, **length)
         params = ["kind: patent-like", f"seed: {seed}"]
     elif kind == "noise":
-        series = noise_series(seed, n or 1000)
+        series = noise_series(seed, **length)
         params = ["kind: noise", f"seed: {seed}"]
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")

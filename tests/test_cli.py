@@ -267,11 +267,11 @@ class TestSubcommands:
             cli._config_comments(config))
         assert (out / "scalogram.csv").read_bytes() == expected.read_bytes()
 
-    def test_out_dir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
+    def test_out_dir_defaults_to_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         rc = cli.main(["synth", "--kind", "noise", "--seed", "7"])
         assert rc == 0
-        assert (tmp_path / "envout" / "noise_7.csv").exists()
+        assert (tmp_path / "noise_7.csv").exists()
 
 
 class TestPipeline:

@@ -445,6 +445,20 @@ class TestFitLogisticSum:
             assert not result.degenerate, seed
             assert result.sse <= 1e-20 * float(np.sum(series.values ** 2)), seed
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 199),
+           c=st.floats(-10.0, 4.0).map(lambda e: 10.0 ** e))
+    @example(seed=0, c=1e-10)
+    def test_value_rescaling_invariance(self, seed, c):
+        series = synth.patent_like_series(seed)
+        base = fit.fit_logistic_sum(series, 3).model
+        scaled = fit.fit_logistic_sum(
+            fit.TimeSeries(series.times, c * series.values), 3).model
+        for ps, pb in zip(scaled.components, base.components):
+            assert ps.amplitude == pytest.approx(c * pb.amplitude, rel=1e-9)
+            assert ps.k == pytest.approx(pb.k, rel=1e-9)
+            assert ps.center == pytest.approx(pb.center, rel=1e-9)
+
     def test_step_count_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             fit.fit_logistic_sum(synth.patent_like_series(3), 0)

@@ -11,11 +11,11 @@ TRUE_CENTERS = [54.16, 122.4, 201.0]
 
 
 def peak_cell(s):
-    """(scale, translation, |W|) of the strongest cell, fringe included."""
-    return lcwt._candidate_cells(s, 1, 0.0)[0]
+    """(scale, translation, |W|) of the strongest cell outside the fringe."""
+    return lcwt._candidate_cells(s)[0]
 
 
-def ranked_cells_oracle(s, count, min_edge_scales, min_separation=5.0):
+def ranked_cells_oracle(s, count=3, min_edge_scales=0.5, min_separation=5.0):
     """Reference ranking: every qualifying cell sorted as Python tuples."""
     magnitude = np.abs(s.coefficients)
     b = s.translations
@@ -23,12 +23,11 @@ def ranked_cells_oracle(s, count, min_edge_scales, min_separation=5.0):
     offsets = (b - b[0]) / step
     span = offsets[-1]
     interior = np.ones_like(magnitude, dtype=bool)
-    if min_edge_scales > 0.0:
-        margin = min_edge_scales * s.scales[:, None]
-        fringe_ok = ((offsets[None, :] >= margin)
-                     & (span - offsets[None, :] >= margin))
-        if fringe_ok.any():
-            interior = fringe_ok
+    margin = min_edge_scales * s.scales[:, None]
+    fringe_ok = ((offsets[None, :] >= margin)
+                 & (span - offsets[None, :] >= margin))
+    if fringe_ok.any():
+        interior = fringe_ok
     local = np.ones_like(magnitude, dtype=bool)
     local[:, 1:] &= magnitude[:, 1:] >= magnitude[:, :-1]
     local[:, :-1] &= magnitude[:, :-1] >= magnitude[:, 1:]
@@ -127,10 +126,15 @@ class TestCwt:
     def test_matches_direct_convolution(self):
         # each kernel reflects the series over its own radius, so the end
         # samples see the reflection however narrow the grid
-        # n = 1,000 on its default grid spans three FFT lengths
-        for n, grid, seed in [(200, [1.0, 3.0, 7.0], 8), (5, [0.0625], 0),
-                              (9, [0.03, 0.05], 0),
-                              (1000, lcwt.default_scales(1000), 1)]:
+        # n = 1,000 on its default grid spans three FFT lengths; a radius
+        # of 578 samples on 6 reflects the series about 100 times over, and
+        # there the error is bounded relative to the row's max |W|
+        # (measured 5.8e-10)
+        for n, grid, seed, relative in [
+                (200, [1.0, 3.0, 7.0], 8, False), (5, [0.0625], 0, False),
+                (9, [0.03, 0.05], 0, False),
+                (1000, lcwt.default_scales(1000), 1, False),
+                (6, [38.5], 0, True)]:
             x = np.random.default_rng(seed).standard_normal(n)
             scales = np.array(grid)
             coefficients = lcwt.cwt(fit.TimeSeries(np.arange(float(n)), x),
@@ -143,7 +147,8 @@ class TestCwt:
                 direct = np.correlate(np.pad(x, radius, mode="reflect"),
                                       kernel, "valid")
                 error = np.abs(direct - coefficients[row]).max()
-                assert error < 1e-12, (n, a, error)
+                bound = 1e-8 * np.abs(direct).max() if relative else 1e-12
+                assert error < bound, (n, a, error)
 
     def test_constant_series_has_no_content(self):
         # the sampled kernels sum to zero even at sub-sample scales
@@ -281,10 +286,8 @@ class TestPeakCell:
 
 class TestCandidateCells:
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5),
-           min_edge_scales=st.sampled_from([0.0, 0.5]))
-    def test_matches_sorted_oracle_with_exact_ties(self, seed, count,
-                                                   min_edge_scales):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_sorted_oracle_with_exact_ties(self, seed):
         rng = np.random.default_rng(seed)
         n_scales = int(rng.integers(1, 8))
         n_trans = int(rng.integers(2, 60))
@@ -295,13 +298,12 @@ class TestCandidateCells:
                                     replace=False))
         times = float(rng.choice([0.25, 1.0, 3.0])) * np.arange(n_trans)
         s = lcwt.Scalogram(times, scales, levels * signs)
-        assert (lcwt._candidate_cells(s, count, min_edge_scales)
-                == ranked_cells_oracle(s, count, min_edge_scales))
+        assert lcwt._candidate_cells(s) == ranked_cells_oracle(s)
 
     def test_zero_scalogram_has_no_candidates(self):
         s = lcwt.Scalogram(np.arange(10.0), np.array([1.0, 2.0]),
                            np.zeros((2, 10)))
-        assert lcwt._candidate_cells(s, 3) == []
+        assert lcwt._candidate_cells(s) == []
 
 
 class TestDominantWave:
@@ -378,6 +380,21 @@ class TestExtractWaves:
             assert ws.center == pytest.approx(c * wb.center, rel=1e-5)
             assert ws.k == pytest.approx(wb.k / c, rel=1e-5)
             assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-5)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 39),
+           c=st.floats(-10.0, 4.0).map(lambda e: 10.0 ** e))
+    @example(seed=33, c=1e-10)
+    def test_value_rescaling_invariance(self, seed, c):
+        series = synth.corn_like_series(seed)
+        base = lcwt.extract_waves(series)
+        scaled = lcwt.extract_waves(
+            fit.TimeSeries(series.times, c * series.values))
+        assert len(scaled.waves) == len(base.waves)
+        for ws, wb in zip(scaled.waves, base.waves):
+            assert ws.amplitude == pytest.approx(c * wb.amplitude, rel=1e-9)
+            assert ws.k == pytest.approx(wb.k, rel=1e-9)
+            assert ws.center == pytest.approx(wb.center, rel=1e-9)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 39), c=st.floats(-1e4, 1e4))

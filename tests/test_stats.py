@@ -92,6 +92,13 @@ class TestCalibration:
             "ar1", 300, 250, "5%", phi=0.5, seed=200, lags=4)
         assert rate > 0.95
 
+    @pytest.mark.parametrize("process, reps", [
+        ("random_walk", 0), ("random_walk", -5), ("brownian", -5),
+        ("brownian", 10)])
+    def test_bad_arguments_rejected_before_any_rep(self, process, reps):
+        with pytest.raises(ValueError):
+            stats.simulate_adf_rejection_rate(process, reps, 50)
+
 
 class TestEngleGranger:
     def test_seeded_cointegrated_pair(self):
