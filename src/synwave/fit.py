@@ -184,29 +184,34 @@ def levenberg_marquardt(evaluate, p0):
     """
     params = np.asarray(p0, dtype=float).copy()
     residual, jacobian = evaluate(params)
-    if not np.all(np.isfinite(residual)):
+    if not np.isfinite(residual).all():
         raise ValueError("residuals are not finite at the starting point")
     sse = float(residual @ residual)
     damping = _DAMPING_START
     history = [sse]
     converged = False
     iterations = 0
+    # the diagonal of a (p, p) matrix, as a slice of its flat view
+    diagonal = slice(None, None, params.size + 1)
     for iterations in range(1, _MAX_ITERATIONS + 1):
         jac = jacobian()
-        grad = jac.T @ residual
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        if np.all(np.abs(grad) <= _GRAD_TOL * np.sqrt(diag) * np.sqrt(sse)):
+        jac_t = jac.T
+        grad = jac_t @ residual
+        jtj = jac_t @ jac
+        diag = jtj.ravel()[diagonal].copy()
+        if (np.abs(grad) <= _GRAD_TOL * np.sqrt(diag) * np.sqrt(sse)).all():
             converged = True
             break
         diag[diag <= 0.0] = 1.0
         accepted = False
         while damping < _DAMPING_MAX:
+            damped = jtj.copy()
+            damped.ravel()[diagonal] += damping * diag
             try:
-                step = np.linalg.solve(jtj + damping * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and np.all(np.isfinite(step)):
+            if step is not None and np.isfinite(step).all():
                 trial = params + step
                 trial_residual, trial_jacobian = evaluate(trial)
                 trial_sse = float(trial_residual @ trial_residual)
@@ -241,7 +246,8 @@ def _chain_columns(params: np.ndarray):
     _TINY, and log k is clipped.
     """
     a = params[1::3, None]
-    k = np.exp(np.clip(params[2::3, None], -_LOG_K_CLIP, _LOG_K_CLIP))
+    k = np.exp(np.minimum(np.maximum(params[2::3, None], -_LOG_K_CLIP),
+                          _LOG_K_CLIP))
     return np.where(a == 0.0, _TINY, a), k, params[3::3, None]
 
 

@@ -119,14 +119,14 @@ class GridFunction:
 
 
 def _sech_squared(z):
-    """Numerically stable sech^2; exactly 0 beyond the tail cutoff."""
-    z = np.asarray(z, dtype=float)
-    a = np.abs(z)
-    out = np.zeros(a.shape, dtype=float)
-    inside = a <= _TAIL_CUTOFF
-    e = np.exp(-2.0 * a[inside])
-    out[inside] = 4.0 * e / (1.0 + e) ** 2
-    return out
+    """Numerically stable sech^2; exactly 0 beyond the tail cutoff.
+
+    The exponent is capped at the cutoff, so even |z| near the largest
+    double neither overflows nor warns.
+    """
+    a = np.abs(np.asarray(z, dtype=float))
+    e = np.exp(-2.0 * np.minimum(a, _TAIL_CUTOFF))
+    return np.where(a <= _TAIL_CUTOFF, 4.0 * e / (1.0 + e) ** 2, 0.0)
 
 
 def _sigmoid(z):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,3 +468,35 @@ class TestConfig:
                      if line.startswith("wrote ")]
             assert sorted(wrote) == sorted(f"wrote {p}" for p in out.iterdir())
         assert written[0] == written[1]
+
+
+# runs in a fresh interpreter; prints the numpy.ma modules that the runs
+# added to sys.modules, a before/after difference so that a numpy which
+# imports numpy.ma eagerly still passes
+COLD_START = """
+import contextlib, io, json, sys
+import numpy
+from synwave import cli
+data, out = sys.argv[1:]
+before = set(sys.modules)
+codes = []
+for argv in (["cwt", "--svg"], ["fit"], ["pipeline", "--svg"], ["adf"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main([*argv, "--input", data,
+                               "--out-dir", f"{out}/{argv[0]}"]))
+added = sorted(m for m in set(sys.modules) - before
+               if m == "numpy.ma" or m.startswith("numpy.ma."))
+print(json.dumps({"codes": codes, "added": added}))
+"""
+
+
+def test_cli_runs_do_not_import_numpy_ma(tmp_path):
+    data = tmp_path / "corn.csv"
+    synth.write_series_csv(data, synth.corn_like_series(33))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(data), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert json.loads(run.stdout) == {"codes": [0, 0, 0, 0], "added": []}

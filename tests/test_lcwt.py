@@ -284,6 +284,30 @@ class TestPeakCell:
         assert scale == 1.0
 
 
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+           decimals=st.none() | st.integers(0, 1),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]),
+           low=st.integers(-300, 300), spread=st.integers(0, 600))
+    @example(n=1, seed=0, decimals=0, zeros=1.0, low=0, spread=0)
+    @example(n=2, seed=0, decimals=0, zeros=1.0, low=0, spread=0)
+    @example(n=600, seed=1, decimals=0, zeros=0.3, low=-300, spread=600)
+    def test_equals_np_median_bit_for_bit(self, n, seed, decimals, zeros,
+                                          low, spread):
+        """Rounded draws tie; zeros come with either sign; magnitudes run
+        from 1e-300 to 1e300."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        if decimals is not None:
+            x = np.round(x, decimals)
+        x[rng.random(n) < zeros] = 0.0
+        x[x == 0.0] *= rng.choice([-1.0, 1.0], int((x == 0.0).sum()))
+        x *= 10.0 ** rng.integers(low, min(low + spread, 300) + 1, n)
+        assert (np.float64(lcwt._median(x)).tobytes()
+                == np.median(x).tobytes())
+
+
 class TestCandidateCells:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -377,9 +401,9 @@ class TestExtractWaves:
             fit.TimeSeries(c * series.times, series.values))
         assert len(scaled.waves) == len(base.waves)
         for ws, wb in zip(scaled.waves, base.waves):
-            assert ws.center == pytest.approx(c * wb.center, rel=1e-5)
-            assert ws.k == pytest.approx(wb.k / c, rel=1e-5)
-            assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-5)
+            assert ws.center == pytest.approx(c * wb.center, rel=1e-12)
+            assert ws.k == pytest.approx(wb.k / c, rel=1e-12)
+            assert ws.amplitude == pytest.approx(wb.amplitude, rel=1e-12)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 39),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,28 @@ class TestSoliton:
         ts = np.linspace(-40.0, 60.0, 501)
         rate = models.soliton_eval(fit.logistic_to_soliton(logistic), ts)
         assert np.abs(models.soliton_eval(soliton, ts) - rate).max() < 1e-12
+
+
+class TestSechSquared:
+    def test_masked_formula_inside_the_cutoff_and_zero_beyond(self):
+        cutoff = models._TAIL_CUTOFF
+        edge = [cutoff, np.nextafter(cutoff, np.inf)]
+        z = np.concatenate([np.linspace(-400.0, 400.0, 8001), edge,
+                            np.negative(edge), [0.0, -0.0, 1e-300]])
+        a = np.abs(z)
+        inside = a <= cutoff
+        e = np.exp(-2.0 * a[inside])
+        expected = np.zeros_like(z)
+        expected[inside] = 4.0 * e / (1.0 + e) ** 2
+        got = models._sech_squared(z)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_huge_arguments_are_zero_without_a_warning(self):
+        z = np.array([1e308, -1e308, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = models._sech_squared(z)
+        assert got.tolist() == [0.0] * 4
 
 
 class TestChain:
