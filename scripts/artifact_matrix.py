@@ -15,13 +15,14 @@ equal:
     python scripts/artifact_matrix.py matrix-head
     diff -r matrix-base matrix-head
 
-The runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
+The 147 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
 ``fit`` and ``adf`` on corn-like seeds 0-19 and 33; four runs whose CWT
 filter bank has another key than n = 241, dt = 1 and 64 scales, in an
 order where each changes one part of the key from the transform before
 (``cwt --svg --scales 16`` on corn-like seed 33, the same without
 ``--svg`` on its values sampled every 0.25 time units, ``cwt`` on noise
 seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
+``cwt`` on a chain whose last refit moves two pulses past each other;
 ``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``, ``entropy``
 and ``synergy`` on a 256-row xor stream; ``entropy`` and three
 ``synergy`` runs (window 8 stride 3, subset ``c a`` window 50 stride 7,
@@ -43,7 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from synwave import cli, synth  # noqa: E402
+from synwave import cli, models, synth  # noqa: E402
 from test_cli import (FAILING_RUNS, write_pair_csv,  # noqa: E402
                       write_two_series_csv)
 
@@ -93,6 +94,21 @@ def write_quarter_step_csv(path):
         f"{0.25 * i!r},{v!r}\n" for i, v in enumerate(values)))
 
 
+def write_crossing_csv(path):
+    """Column ``value``: the chain 100 + (217, 0.054, 115.7) +
+    (-219, 0.023, 119.5) + (54, 0.044, 142.4) over n = 241 plus seeded
+    unit noise; its last refit moves the two overlapping pulses past
+    each other."""
+    times = np.arange(241.0)
+    chain = models.SolitonChainModel(100.0, (
+        models.SolitonComponent(217.0, 0.054, 115.7),
+        models.SolitonComponent(-219.0, 0.023, 119.5),
+        models.SolitonComponent(54.0, 0.044, 142.4)))
+    values = models.chain_eval(chain, times) + np.random.default_rng(
+        0).standard_normal(241)
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+
+
 def runs():
     """(name, argv without --out-dir, expected exit code), inputs first."""
     for kind, seeds in (("corn-like", CORN_SEEDS),
@@ -123,6 +139,7 @@ def runs():
     yield ("pipeline/corn_like_33_n1000",
            ["pipeline", "--seed", "33", "--input",
             "synth/corn-like_33_n1000/out/corn_like_33.csv"], 0)
+    yield "cwt/crossing", ["cwt", "--input", "inputs/crossing.csv"], 0
     for seed in PATENT_SEEDS:
         yield (f"pipeline/patent_like_{seed}",
                ["pipeline", "--seed", str(seed), "--input",
@@ -190,6 +207,7 @@ def main() -> int:
     write_labels_csv(inputs / "labels.csv")
     write_run_csv(inputs / "run.csv")
     write_quarter_step_csv(inputs / "quarter_step.csv")
+    write_crossing_csv(inputs / "crossing.csv")
     total = unexpected = 0
     for name, argv, expected in runs():
         code = run(name, argv)

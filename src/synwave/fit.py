@@ -100,6 +100,7 @@ class FitResult:
 
     ``standard_errors`` line up with the flat parameter vector
     (beta, then A, k, center per component, in center order).
+    ``model.components[i]`` started as ``init.components[order[i]]``.
     """
 
     model: SolitonChainModel
@@ -108,6 +109,7 @@ class FitResult:
     converged: bool
     standard_errors: np.ndarray
     sse_history: tuple[float, ...]
+    order: tuple[int, ...]
 
     @property
     def degenerate(self) -> bool:
@@ -343,8 +345,8 @@ def _fit_chain(series: TimeSeries, init: SolitonChainModel, form) -> FitResult:
     chain, ``_step_form`` for the staircase). One evaluation gives LM the
     residual and a function building the Jacobian from that evaluation's
     terms, so the Jacobian LM takes at the point it accepted reuses them.
-    Components come out in center order and their error rows with them;
-    a width's error is mapped back from log space as k * se(log k).
+    Components come out in center order (``order``), error rows with
+    them; a width's error is mapped back from log space as k * se(log k).
     """
     n = len(init.components)
     if n > max_pulses(len(series)):
@@ -364,7 +366,8 @@ def _fit_chain(series: TimeSeries, init: SolitonChainModel, form) -> FitResult:
     body = errors[1:].reshape(n, 3)[order]
     body[:, 1] *= [c.k for c in model.components]
     errors = np.concatenate([errors[:1], body.ravel()])
-    return FitResult(model, sse, iterations, converged, errors, tuple(history))
+    return FitResult(model, sse, iterations, converged, errors,
+                     tuple(history), tuple(order.tolist()))
 
 
 def fit_soliton_chain(series: TimeSeries, n: int | None = None,

@@ -14,15 +14,16 @@ computed over a log-spaced scale grid with reflection padding at the
 boundaries. Each sampled kernel sums to zero, so a constant offset
 contributes nothing at any scale. ``extract_waves`` repeats a locate /
 fit / subtract loop whose only state is one chain, the accepted joint
-refit and each pulse's seed cell: each pass ranks the scalogram's local
-|W| maxima outside the boundary fringe, seeds a pulse at each of the
-strongest well-separated cells and keeps the best joint refit. A seed's
-k is kappa / scale, where kappa is one embedded constant that the tests
-re-derive. The last accepted refit is the chain fit of the series and
-seeds ``fit.fit_soliton_chain`` for a given pulse count. Its pulses form
-sign-homogeneous groups (wave trains) that carry a linear peak trend,
-and ``redundancy_split`` turns the waves of either sign into nonnegative
-opposing series whose difference reconstructs the extracted signal content.
+refit and each pulse's seed cell, which follows its pulse through a
+refit: each pass ranks the scalogram's local |W| maxima outside the
+boundary fringe, seeds a pulse at each of the strongest well-separated
+cells and keeps the joint refit of lowest energy, the first of equals. A
+seed's k is kappa / scale, where kappa is one embedded constant that the
+tests re-derive. The last accepted refit is the chain fit of the series
+and seeds ``fit.fit_soliton_chain`` for a given pulse count. Its pulses
+form sign-homogeneous groups (wave trains) with a linear peak trend, and
+``redundancy_split`` turns the waves of either sign into nonnegative
+opposing series whose difference is the sum of the extracted pulses.
 """
 from __future__ import annotations
 
@@ -48,10 +49,6 @@ _SNR = 5.0
 _CANDIDATES = 3
 _MIN_SEPARATION = 5.0
 _EDGE_SCALES = 0.5
-# a later-ranked candidate must undercut the best refit's energy by more
-# than this fraction; seeds that converge to the same refit tie within
-# round-off, and the stronger |W| seed keeps the wave then
-_ENERGY_TIE = 1e-9
 
 # nominal wavelet support is SUPPORT_PER_SCALE * a samples wide; kernels
 # are truncated at KERNEL_RADIUS_PER_SCALE * a where the tails are below
@@ -377,9 +374,9 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     current residual, seeds pulses at its strongest maxima and refits each
     seed with the retained pulses (back-fitting: overlapping pulses settle
     into joint least-squares positions instead of accumulating greedy
-    bias; seed cells follow their pulse by center order). The refit that
-    explains the most energy is kept; a weaker-|W| seed displaces a
-    stronger one only by more than 1e-9 of the energy. A seed is skipped
+    bias; each seed cell follows its pulse through the refit, by
+    ``FitResult.order``). The refit of lowest energy is kept, the first
+    (stronger-|W|) seed's among equals. A seed is skipped
     when its center lies within the half-maximum half-width
     ln(1 + sqrt 2) / k of any pulse that an earlier refit of the same pass
     returned, kept or not: such a seed tends to repeat that refit. The
@@ -438,8 +435,8 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
                 energy = _centered_energy(series.values - reconstruction)
                 if energy > history[-1]:
                     continue
-                if best is None or energy < best[0] * (1.0 - _ENERGY_TIE):
-                    best = (energy, result, [c for _, c in pool],
+                if best is None or energy < best[0]:
+                    best = (energy, result, [pool[i][1] for i in result.order],
                             reconstruction)
             if best is None:
                 break
@@ -460,15 +457,17 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     )
 
 
+def _sign_split(waves) -> tuple[list, list]:
+    """The waves of amplitude >= 0, then those below 0, each by center."""
+    ordered = sorted(waves, key=lambda w: w.center)
+    return ([w for w in ordered if w.amplitude >= 0.0],
+            [w for w in ordered if w.amplitude < 0.0])
+
+
 def group_wave_trains(waves) -> list[WaveTrain]:
     """Partition waves by amplitude sign and fit each train's peak trend."""
     trains = []
-    for sign, keep in (("positive", lambda a: a >= 0.0),
-                       ("negative", lambda a: a < 0.0)):
-        members = sorted(
-            (w for w in waves if keep(w.amplitude)),
-            key=lambda w: w.center,
-        )
+    for sign, members in zip(("positive", "negative"), _sign_split(waves)):
         if not members:
             continue
         trend = None
@@ -495,12 +494,11 @@ def redundancy_split(waves, times, positive_role: str = "historical"
         raise ValueError("positive_role must be 'historical' or 'synergetic'")
     times = np.asarray(times, dtype=float)
 
-    def part(keep):
-        pulses = tuple(w.to_component() for w in waves if keep(w.amplitude))
+    def part(members):
+        pulses = tuple(w.to_component() for w in members)
         return chain_eval(SolitonChainModel(0.0, pulses), times)
 
-    positive = part(lambda a: a >= 0.0)
-    negative = part(lambda a: a < 0.0)
+    positive, negative = map(part, _sign_split(waves))
     if positive_role == "historical":
         historical = positive
         synergetic = -negative

@@ -130,12 +130,11 @@ def _sech_squared(z):
 
 
 def _sigmoid(z):
-    """Stable logistic sigmoid; saturates exactly beyond the tail cutoff."""
+    """Stable logistic sigmoid; exactly 0 and 1 beyond the tail cutoff."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.minimum(np.abs(z), _TAIL_CUTOFF))
     out = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.where(z > _TAIL_CUTOFF, 1.0,
-                    np.where(z < -_TAIL_CUTOFF, 0.0, out))
+    return np.where(z < -_TAIL_CUTOFF, 0.0, out)
 
 
 def logistic_eval(c: LogisticComponent, t):

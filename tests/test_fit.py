@@ -159,9 +159,16 @@ class TestFitSolitonChain:
             models.SolitonComponent(100.0, 0.05, 98.0)))
         result = fit.fit_soliton_chain(series, init=init)
         assert result.converged
+        assert result.order == (1, 0)
         for comp, true in zip(result.model.components, truth.components):
             assert comp.center == pytest.approx(true.center, abs=0.5)
             assert comp.amplitude == pytest.approx(true.amplitude, rel=0.05)
+        # seeded on the right sides, the pulses keep their places
+        uncrossed = fit.fit_soliton_chain(
+            series, init=models.SolitonChainModel(5.0, (
+                models.SolitonComponent(100.0, 0.3, 32.0),
+                models.SolitonComponent(40.0, 0.05, 78.0))))
+        assert uncrossed.order == (0, 1)
 
         def residual_fn(params):
             model = fit._chain_unpack(params)

@@ -451,8 +451,8 @@ class TestExtractWaves:
             assert any(abs(w.center - 200.0) <= 5.0 for w in result.waves), seed
 
     def test_round_off_ties_keep_the_stronger_seed(self):
-        # on these seeds two candidates of one pass converge to the same
-        # refit; which one reports the wave must not hang on the last bits
+        # the outputs stay unchanged under a 1e-12 relative nudge of the
+        # values: as many waves, each seeded at the same cell
         for seed in (3, 6, 17, 37):
             series = synth.corn_like_series(seed)
             nudged = fit.TimeSeries(series.times,
@@ -464,6 +464,26 @@ class TestExtractWaves:
                 assert wo.scalogram_peak[:2] == wb.scalogram_peak[:2], seed
                 assert wo.scalogram_peak[2] == pytest.approx(
                     wb.scalogram_peak[2], rel=1e-9)
+
+    def test_seed_cells_follow_their_pulses_when_centers_cross(self):
+        # the negative pulse seeded at 84 and the positive one seeded at
+        # 116 pass each other in the last refit; each keeps its own cell
+        times = np.arange(241.0)
+        clean = models.chain_eval(models.SolitonChainModel(100.0, (
+            models.SolitonComponent(217.0, 0.054, 115.7),
+            models.SolitonComponent(-219.0, 0.023, 119.5),
+            models.SolitonComponent(54.0, 0.044, 142.4))), times)
+        for seed in range(6):
+            noise = np.random.default_rng(seed).standard_normal(241)
+            result = lcwt.extract_waves(fit.TimeSeries(times, clean + noise))
+            assert result.fit.converged and not result.fit.degenerate, seed
+            positive, negative = result.waves[:2]
+            assert positive.amplitude > 0.0 > negative.amplitude, seed
+            assert positive.center == pytest.approx(115.6, abs=0.3), seed
+            assert negative.center == pytest.approx(119.6, abs=0.5), seed
+            assert positive.scalogram_peak[1] == 116.0, seed
+            assert negative.scalogram_peak[1] == 84.0, seed
+            assert result.fit.order == (1, 0, 2), seed
 
     def test_no_pass_refits_the_same_chain_twice(self, monkeypatch):
         # a pass's refits all hold its pulse count; without the seed merge
