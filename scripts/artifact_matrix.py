@@ -15,7 +15,7 @@ equal:
     python scripts/artifact_matrix.py matrix-head
     diff -r matrix-base matrix-head
 
-The 147 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
+The 148 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
 ``fit`` and ``adf`` on corn-like seeds 0-19 and 33; four runs whose CWT
 filter bank has another key than n = 241, dt = 1 and 64 scales, in an
 order where each changes one part of the key from the transform before
@@ -23,8 +23,9 @@ order where each changes one part of the key from the transform before
 ``--svg`` on its values sampled every 0.25 time units, ``cwt`` on noise
 seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
 ``cwt`` on a chain whose last refit moves two pulses past each other;
-``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``, ``entropy``
-and ``synergy`` on a 256-row xor stream; ``entropy`` and three
+``cwt --svg`` on 6 samples, fewer than any band's pad, so the reflection
+repeats; ``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``,
+``entropy`` and ``synergy`` on a 256-row xor stream; ``entropy`` and three
 ``synergy`` runs (window 8 stride 3, subset ``c a`` window 50 stride 7,
 window 600) on 600 seeded rows of three five-label string columns;
 ``synergy --window 64`` and ``--window 63 --stride 5`` on 400 seeded
@@ -109,6 +110,13 @@ def write_crossing_csv(path):
     path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
 
 
+def write_tiny_csv(path):
+    """Column ``value``: six seeded normal draws, fewer than the 10 samples
+    by which the default grid's one band reflects them."""
+    values = np.random.default_rng(3).standard_normal(6)
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+
+
 def runs():
     """(name, argv without --out-dir, expected exit code), inputs first."""
     for kind, seeds in (("corn-like", CORN_SEEDS),
@@ -140,6 +148,7 @@ def runs():
            ["pipeline", "--seed", "33", "--input",
             "synth/corn-like_33_n1000/out/corn_like_33.csv"], 0)
     yield "cwt/crossing", ["cwt", "--input", "inputs/crossing.csv"], 0
+    yield "cwt/tiny", ["cwt", "--svg", "--input", "inputs/tiny.csv"], 0
     for seed in PATENT_SEEDS:
         yield (f"pipeline/patent_like_{seed}",
                ["pipeline", "--seed", str(seed), "--input",
@@ -208,6 +217,7 @@ def main() -> int:
     write_run_csv(inputs / "run.csv")
     write_quarter_step_csv(inputs / "quarter_step.csv")
     write_crossing_csv(inputs / "crossing.csv")
+    write_tiny_csv(inputs / "tiny.csv")
     total = unexpected = 0
     for name, argv, expected in runs():
         code = run(name, argv)

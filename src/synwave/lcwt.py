@@ -65,6 +65,11 @@ _KAPPA = 1.4298034825734625
 # side of one scalogram cell in the SVG heatmap, in SVG user units
 _SVG_CELL = 4
 
+# the most cells one block's working array holds: the filter bank, each
+# band's transform and the SVG heatmap take their rows in blocks of
+# max(1, _BLOCK_CELLS // row length)
+_BLOCK_CELLS = 8192
+
 
 def _check_scale_grid(scales: np.ndarray) -> None:
     if (scales.ndim != 1 or scales.size == 0
@@ -193,13 +198,15 @@ def _filter_bank(n: int, dt: float, scales: tuple[float, ...]
 
     Row i has radius r_i = max(ceil(15 a_i), 2) and needs the smallest
     power of two >= n + 2 r_i; each run of consecutive scales that share
-    that length is one band, transformed in one batch. A band reflects the
-    series by its largest radius, its pad. Each kernel is centred on index
-    0, negative offsets wrapping to the end, so output t in [pad, pad + n)
-    reads only padded samples t + u with |u| <= r_i <= pad: the circular
-    product never wraps, and the band's outputs are columns pad .. pad + n
-    of every row. One key is kept: the scales of an extraction are fixed
-    across its passes, and a new key replaces the bank.
+    that length is one band. A band's kernels are filled and transformed
+    in row blocks (``_BLOCK_CELLS``) into one spectra array, and the band
+    reflects the series by its largest radius, its pad. Each kernel is
+    centred on index 0, negative offsets wrapping to the end, so output t
+    in [pad, pad + n) reads only padded samples t + u with |u| <= r_i <=
+    pad: the circular product never wraps, and the band's outputs are
+    columns pad .. pad + n of every row. One key is kept: the scales of an
+    extraction are fixed across its passes, and a new key replaces the
+    bank.
     """
     radii = [max(int(np.ceil(KERNEL_RADIUS_PER_SCALE * a)), 2)
              for a in scales]
@@ -209,17 +216,21 @@ def _filter_bank(n: int, dt: float, scales: tuple[float, ...]
     # the grid increases, so radii and lengths never decrease along it
     for nfft, group in itertools.groupby(lengths):
         stop = start + len(list(group))
-        kernels = np.zeros((stop - start, nfft))
-        for row, a, radius in zip(kernels, scales[start:stop],
-                                  radii[start:stop]):
-            u = np.arange(-radius, radius + 1, dtype=float)
-            kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
-            kernel -= kernel.mean()
-            # correlation = convolution with the reversed kernel
-            reversed_kernel = kernel[::-1]
-            row[:radius + 1] = reversed_kernel[radius:]
-            row[nfft - radius:] = reversed_kernel[:radius]
-        spectra = np.fft.rfft(kernels, axis=-1)
+        spectra = np.empty((stop - start, nfft // 2 + 1), dtype=complex)
+        block = max(1, _BLOCK_CELLS // nfft)
+        for first in range(start, stop, block):
+            last = min(first + block, stop)
+            kernels = np.zeros((last - first, nfft))
+            for row, a, radius in zip(kernels, scales[first:last],
+                                      radii[first:last]):
+                u = np.arange(-radius, radius + 1, dtype=float)
+                kernel = mother_wavelet(u / a) * (dt / np.sqrt(a))
+                kernel -= kernel.mean()
+                # correlation = convolution with the reversed kernel
+                reversed_kernel = kernel[::-1]
+                row[:radius + 1] = reversed_kernel[radius:]
+                row[nfft - radius:] = reversed_kernel[:radius]
+            spectra[first - start:last - start] = np.fft.rfft(kernels, axis=-1)
         spectra.setflags(write=False)
         bands.append(_Band(slice(start, stop), radii[stop - 1], nfft, spectra))
         start = stop
@@ -237,9 +248,11 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
     extraction build it once. The bank splits the grid into bands of
     consecutive scales that share an FFT length, the smallest power of two
     >= n + 2 r for a kernel radius r = max(ceil(15 a), 2); each band
-    reflects the series over its widest kernel's radius and takes one FFT
-    of it. Kernels are centred on index 0, so no row pays for a wider
-    kernel's length.
+    reflects the series over its widest kernel's radius (``_reflect``) and
+    takes one FFT of it. Kernels are centred on index 0, so no row pays
+    for a wider kernel's length. Each band's rows are multiplied and
+    inverse-transformed in blocks of at most ``_BLOCK_CELLS`` FFT cells;
+    rows transform independently, so the blocks do not change the bits.
     """
     if len(series) < 2:
         raise ValueError("series too short for a transform")
@@ -251,11 +264,23 @@ def cwt(series: TimeSeries, scales=None) -> Scalogram:
     n = len(series)
     coefficients = np.empty((scales.size, n))
     for band in _filter_bank(n, series.dt, tuple(scales.tolist())):
-        padded = np.pad(series.values, band.pad, mode="reflect")
-        spectrum = np.fft.rfft(padded, band.nfft)
-        conv = np.fft.irfft(spectrum * band.spectra, band.nfft, axis=-1)
-        coefficients[band.rows] = conv[:, band.pad:band.pad + n]
+        spectrum = np.fft.rfft(_reflect(series.values, band.pad), band.nfft)
+        block = max(1, _BLOCK_CELLS // band.nfft)
+        for first in range(0, len(band.spectra), block):
+            conv = np.fft.irfft(spectrum * band.spectra[first:first + block],
+                                band.nfft, axis=-1)
+            row = band.rows.start + first
+            coefficients[row:row + len(conv)] = conv[:, band.pad:band.pad + n]
     return Scalogram(series.times.copy(), scales, coefficients)
+
+
+def _reflect(values: np.ndarray, pad: int) -> np.ndarray:
+    """``np.pad(values, pad, mode="reflect")`` of n >= 2 values, by one
+    gather: padded sample k reads k - pad folded into the reflection's
+    period m = 2 (n - 1), so any pad works, one far beyond n too."""
+    m = 2 * (values.size - 1)
+    k = np.arange(-pad, values.size + pad) % m
+    return values[np.minimum(k, m - k)]
 
 
 def wavelet_scale_constant() -> float:
@@ -275,14 +300,15 @@ def _centered_energy(values: np.ndarray) -> float:
 
 def _median(x: np.ndarray) -> float:
     """``np.median`` of a non-empty finite 1-D array, bit for bit, from one
-    partition: the middle order statistic, or the mean of the two middle
+    stable sort: the middle order statistic, or the mean of the two middle
     ones. np.median sums from +0.0, so a -0.0 median comes out +0.0 here
-    too. Unlike np.median, it does not import numpy.ma."""
+    too. Unlike np.median, it does not import numpy.ma, and the float64
+    stable argsort is the one the chain fit already runs."""
+    ordered = x[np.argsort(x, kind="stable")]
     half = x.size // 2
     if x.size % 2:
-        return 0.0 + np.partition(x, half)[half]
-    part = np.partition(x, (half - 1, half))
-    return (0.0 + part[half - 1] + part[half]) / 2.0
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2.0
 
 
 def _diff_noise_sigma(values: np.ndarray) -> float:
@@ -290,8 +316,8 @@ def _diff_noise_sigma(values: np.ndarray) -> float:
 
     The median absolute deviation of the differences, scaled by 1.4826 to
     a normal sigma (Donoho & Johnstone 1994, Biometrika 81:425) and by
-    1/sqrt 2 because a difference carries two samples' noise. Both medians
-    are exact partitions (``_median``).
+    1/sqrt 2 because a difference carries two samples' noise. Each median
+    reads one stable sort (``_median``).
     """
     d = np.diff(values)
     mad = _median(np.abs(d - _median(d)))
@@ -532,14 +558,14 @@ _HEAT_TAILS = np.array([f'{c}"/>\n' for c in _HEAT_COLORS], dtype=object)
 
 def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
     """Static heatmap of the coefficients, rows = scales (largest on top),
-    coloured by z = W / max|W| (see ``_HEAT_COLORS``)."""
+    coloured by z = W / max|W| (see ``_HEAT_COLORS``), computed in blocks
+    of at most ``_BLOCK_CELLS`` cells."""
     cell = _SVG_CELL
-    n_scales, n_trans = s.coefficients.shape
-    peak = float(np.abs(s.coefficients).max())
-    # |z| <= 1, and 1 - |z| equals 1 + z for z < 0
-    z = s.coefficients / (peak if peak > 0 else 1.0)
-    fade = np.round(255.0 * (1.0 - np.abs(z))).astype(np.intp)
-    colors = np.where(z >= 0.0, fade, fade + 256)
+    w = s.coefficients
+    n_scales, n_trans = w.shape
+    peak = float(max(w.max(), -w.min()))
+    norm = peak if peak > 0 else 1.0
+    block = max(1, _BLOCK_CELLS // n_trans)
     width, height = n_trans * cell, n_scales * cell
     # one row's rects as [x prefix, y and size, tail] * n_trans
     pieces = [""] * (3 * n_trans)
@@ -550,8 +576,13 @@ def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
             fh.write(f"<!-- {line} -->\n")
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height}" viewBox="0 0 {width} {height}">\n')
-        for i, tails in enumerate(_HEAT_TAILS[colors]):
-            pieces[1::3] = [f"{(n_scales - 1 - i) * cell}{size}"] * n_trans
-            pieces[2::3] = tails.tolist()
-            fh.write("".join(pieces))
+        for first in range(0, n_scales, block):
+            # |z| <= 1, and 1 - |z| equals 1 + z for z < 0
+            z = w[first:first + block] / norm
+            fade = np.round(255.0 * (1.0 - np.abs(z))).astype(np.intp)
+            colors = np.where(z >= 0.0, fade, fade + 256)
+            for i, tails in enumerate(_HEAT_TAILS[colors], first):
+                pieces[1::3] = [f"{(n_scales - 1 - i) * cell}{size}"] * n_trans
+                pieces[2::3] = tails.tolist()
+                fh.write("".join(pieces))
         fh.write("</svg>\n")

@@ -78,6 +78,16 @@ def cwt_oracle(series, scales):
     return coefficients
 
 
+def traced_peak(call):
+    """Peak traced memory, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def random_walk(seed, n, dt):
     rng = np.random.default_rng(seed)
     return fit.TimeSeries(np.arange(n) * dt, np.cumsum(rng.standard_normal(n)))
@@ -201,6 +211,19 @@ class TestCwt:
             lcwt.default_scales(64, num)
 
 
+class TestReflect:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 64), pad=st.integers(0, 1000),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, pad=0, seed=0)
+    @example(n=2, pad=1000, seed=0)
+    @example(n=6, pad=10, seed=0)
+    def test_equals_np_pad_byte_for_byte(self, n, pad, seed):
+        x = np.random.default_rng(seed).standard_normal(n)
+        assert (lcwt._reflect(x, pad).tobytes()
+                == np.pad(x, pad, mode="reflect").tobytes())
+
+
 class TestFilterBank:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(5, 600),
@@ -242,17 +265,19 @@ class TestFilterBank:
                 band.spectra[0, 0] = 0.0
 
     def test_a_fine_grid_on_a_long_series_stays_small(self):
-        # one FFT length for every scale peaked near 200 MB here
+        # one FFT length for every scale peaked near 200 MB here, and
+        # whole-band kernel, product and inverse arrays near 39 MB
         series = pulse_series(k=0.05, center=800.0, n=1601)
         scales = np.geomspace(2.0, 120.0, 512)
         lcwt._filter_bank.cache_clear()
-        tracemalloc.start()
-        try:
-            lcwt.cwt(series, scales)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6, peak
+        assert traced_peak(lambda: lcwt.cwt(series, scales)) < 32e6
+
+    def test_a_cached_transform_holds_little_beside_its_coefficients(self):
+        # the 64 x 4,000 coefficients take 2.05 MB; whole-band product
+        # and inverse arrays peaked near 7.9 MB here
+        series = random_walk(0, 4000, 1.0)
+        lcwt.cwt(series)
+        assert traced_peak(lambda: lcwt.cwt(series)) < 4e6
 
 
 class TestWaveletScaleConstant:
