@@ -16,12 +16,13 @@ contributes nothing at any scale. ``extract_waves`` repeats a locate /
 fit / subtract loop whose only state is one chain, the accepted joint
 refit and each pulse's seed cell, which follows its pulse through a
 refit: each pass ranks the scalogram's local |W| maxima outside the
-boundary fringe, seeds a pulse at each of the strongest well-separated
-cells and keeps the joint refit of lowest energy, the first of equals. A
-seed's k is kappa / scale, where kappa is one embedded constant that the
-tests re-derive. The last accepted refit is the chain fit of the series
-and seeds ``fit.fit_soliton_chain`` for a given pulse count. Its pulses
-form sign-homogeneous groups (wave trains) with a linear peak trend, and
+boundary fringe, seeds pulses at its strongest translations (a seed
+merge is the one rule against duplicate seeds) and keeps the joint refit
+of lowest energy, the first of equals. A seed's k is kappa / scale,
+where kappa is one embedded constant that the tests re-derive. The last
+accepted refit is the chain fit of the series and seeds
+``fit.fit_soliton_chain`` for a given pulse count. Its pulses form
+sign-homogeneous groups (wave trains) with a linear peak trend, and
 ``redundancy_split`` turns the waves of either sign into nonnegative
 opposing series whose difference is the sum of the extracted pulses.
 """
@@ -43,11 +44,10 @@ DEFAULT_ENERGY_STOP = 0.05
 # retention gate for candidate waves, in units of the differenced
 # residual's robust noise level
 _SNR = 5.0
-# each pass seeds at most this many candidate cells, taken at least
-# _MIN_SEPARATION samples apart and at least _EDGE_SCALES scale units
-# from either series end
+# each pass seeds at most this many candidate cells, at distinct
+# translations (the seed merge is the one rule against duplicate seeds) and
+# at least _EDGE_SCALES scale units from either series end
 _CANDIDATES = 3
-_MIN_SEPARATION = 5.0
 _EDGE_SCALES = 0.5
 
 # nominal wavelet support is SUPPORT_PER_SCALE * a samples wide; kernels
@@ -343,9 +343,9 @@ def _candidate_cells(s: Scalogram) -> list[tuple[float, float, float]]:
     units to either series end lie in the boundary fringe, where
     reflection padding makes coefficients unreliable, and are skipped
     unless that would leave no cell. Cells rank by |W| descending, then
-    translation ascending, then scale ascending, and are taken greedily in
-    that order when at least ``_MIN_SEPARATION`` samples from every cell
-    already taken, until ``_CANDIDATES`` are chosen.
+    translation ascending, then scale ascending; the first cell of each
+    translation is taken until ``_CANDIDATES`` are chosen, and the seed
+    merge of ``extract_waves`` is the one rule against duplicate seeds.
     """
     magnitude = np.abs(s.coefficients)
     local = magnitude > 0.0
@@ -367,8 +367,8 @@ def _candidate_cells(s: Scalogram) -> list[tuple[float, float, float]]:
     chosen: list[tuple[float, float, float]] = []
     while trans.size and len(chosen) < _CANDIDATES:
         chosen.append((float(scale[0]), float(trans[0]), float(peak[0])))
-        apart = np.abs(trans - trans[0]) >= _MIN_SEPARATION * step
-        scale, trans, peak = scale[apart], trans[apart], peak[apart]
+        other = trans != trans[0]
+        scale, trans, peak = scale[other], trans[other], peak[other]
     return chosen
 
 
@@ -402,19 +402,19 @@ def extract_waves(series: TimeSeries, max_waves: int = DEFAULT_MAX_WAVES,
     into joint least-squares positions instead of accumulating greedy
     bias; each seed cell follows its pulse through the refit, by
     ``FitResult.order``). The refit of lowest energy is kept, the first
-    (stronger-|W|) seed's among equals. A seed is skipped
-    when its center lies within the half-maximum half-width
+    (stronger-|W|) seed's among equals. A seed merge, the one rule against
+    duplicate seeds, skips a seed within the half-maximum half-width
     ln(1 + sqrt 2) / k of any pulse that an earlier refit of the same pass
     returned, kept or not: such a seed tends to repeat that refit. The
     first pass's transform, that of the series itself, is returned as
     ``scalogram``. The loop stops when the rms of the centered residual
     falls below ``energy_stop`` of the original rms, when ``max_waves``
     are retained or as many as the series has room for (``max_pulses``),
-    or when no seed (amplitude at least 5 noise levels) gives a sane
-    refit that reduces the energy. A series with room for no pulse (fewer
-    than 5 samples) raises. ``energy_history`` records centered sums of
-    squares, which are asserted non-increasing; ``low_confidence`` flags
-    runs that left more than half of that energy unexplained.
+    or when no seed (amplitude at least 5 noise levels) gives a sane refit
+    that reduces the energy. A series with room for no pulse (fewer than 5
+    samples) raises. ``energy_history`` records centered sums of squares,
+    which are asserted non-increasing; ``low_confidence`` flags runs that
+    left more than half of that energy unexplained.
     """
     if max_waves < 1:
         raise ValueError("max_waves must be at least 1")
