@@ -150,14 +150,13 @@ def _unit_root(y: np.ndarray, lags: int | str, kind: str,
     nobs, ncols = design.shape
     if nobs <= ncols:
         raise ValueError("not enough observations for the regression")
-    beta, *_ = np.linalg.lstsq(design, response, rcond=None)
-    residuals = response - design @ beta
-    sigma2 = float(residuals @ residuals) / (nobs - ncols)
-    xtx_inv = np.linalg.pinv(design.T @ design)
-    se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
-    if se[0] == 0.0:
+    pinv = np.linalg.pinv(design)    # the one factorisation, X+
+    beta = pinv @ response
+    sigma = np.linalg.norm(response - design @ beta) / np.sqrt(nobs - ncols)
+    se = float(sigma * np.linalg.norm(pinv[0]))    # (X'X)^-1 = X+ X+'
+    if se == 0.0:
         raise ValueError("degenerate unit-root regression")
-    statistic = float(beta[0] / se[0])
+    statistic = float(beta[0] / se)
     critical_values = _critical_values(surface, nobs)
     return ADFResult(
         statistic=statistic,
