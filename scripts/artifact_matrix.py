@@ -15,7 +15,7 @@ equal:
     python scripts/artifact_matrix.py matrix-head
     diff -r matrix-base matrix-head
 
-The 148 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
+The 149 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
 ``fit`` and ``adf`` on corn-like seeds 0-19 and 33; four runs whose CWT
 filter bank has another key than n = 241, dt = 1 and 64 scales, in an
 order where each changes one part of the key from the transform before
@@ -23,6 +23,9 @@ order where each changes one part of the key from the transform before
 ``--svg`` on its values sampled every 0.25 time units, ``cwt`` on noise
 seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
 ``cwt`` on a chain whose last refit moves two pulses past each other;
+``cwt --energy-stop 1e-9`` on 16 samples holding two pulses of opposite
+sign 0.48 samples apart, so any change to how overlapping pulses are
+seeded shows;
 ``cwt --svg`` on 6 samples, fewer than any band's pad, so the reflection
 repeats; ``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``,
 ``entropy`` and ``synergy`` on a 256-row xor stream; ``entropy`` and three
@@ -110,6 +113,20 @@ def write_crossing_csv(path):
     path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
 
 
+def write_overlap_csv(path):
+    """Column ``value``: the chain 5 + (-26.434, 0.8, 4.401) +
+    (70.999, 0.8, 4.880) + (33.153, 0.8, 11.585) over 16 samples plus
+    seeded noise of sd 0.01; its first two pulses overlap."""
+    times = np.arange(16.0)
+    chain = models.SolitonChainModel(5.0, (
+        models.SolitonComponent(-26.434, 0.8, 4.401),
+        models.SolitonComponent(70.999, 0.8, 4.880),
+        models.SolitonComponent(33.153, 0.8, 11.585)))
+    values = models.chain_eval(chain, times) + 0.01 * np.random.default_rng(
+        0).standard_normal(16)
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+
+
 def write_tiny_csv(path):
     """Column ``value``: six seeded normal draws, fewer than the 10 samples
     by which the default grid's one band reflects them."""
@@ -148,6 +165,8 @@ def runs():
            ["pipeline", "--seed", "33", "--input",
             "synth/corn-like_33_n1000/out/corn_like_33.csv"], 0)
     yield "cwt/crossing", ["cwt", "--input", "inputs/crossing.csv"], 0
+    yield ("cwt-energy-stop/overlap", ["cwt", "--energy-stop", "1e-9",
+                                        "--input", "inputs/overlap.csv"], 0)
     yield "cwt/tiny", ["cwt", "--svg", "--input", "inputs/tiny.csv"], 0
     for seed in PATENT_SEEDS:
         yield (f"pipeline/patent_like_{seed}",
@@ -217,6 +236,7 @@ def main() -> int:
     write_run_csv(inputs / "run.csv")
     write_quarter_step_csv(inputs / "quarter_step.csv")
     write_crossing_csv(inputs / "crossing.csv")
+    write_overlap_csv(inputs / "overlap.csv")
     write_tiny_csv(inputs / "tiny.csv")
     total = unexpected = 0
     for name, argv, expected in runs():

@@ -150,7 +150,7 @@ def _unit_root(y: np.ndarray, lags: int | str, kind: str,
     nobs, ncols = design.shape
     if nobs <= ncols:
         raise ValueError("not enough observations for the regression")
-    pinv = np.linalg.pinv(design)    # the one factorisation, X+
+    pinv = np.linalg.pinv(design)
     beta = pinv @ response
     sigma = np.linalg.norm(response - design @ beta) / np.sqrt(nobs - ncols)
     se = float(sigma * np.linalg.norm(pinv[0]))    # (X'X)^-1 = X+ X+'

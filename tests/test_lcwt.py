@@ -586,8 +586,8 @@ class TestExtractWaves:
 
     def test_overlapping_opposite_pulses_are_seeded_once_each(self):
         # the pulse at 4.40 lies 0.48 samples from a stronger one of the
-        # other sign; each is seeded at its own translation, and the true
-        # chain is recovered (worst center error seen: 0.033 samples)
+        # other sign; their seeds, 2 samples apart, are both taken, and the
+        # true chain is recovered (worst center error seen: 0.033 samples)
         pulses = ((-26.434, 0.8, 4.401), (70.999, 0.8, 4.880),
                   (33.153, 0.8, 11.585))
         result = lcwt.extract_waves(short_chain_series(pulses),
