@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floatcsv import csv_rows
 from .fit import FitResult, TimeSeries, fit_soliton_chain, max_pulses, ols
 from .models import (SolitonChainModel, SolitonComponent, _sigmoid,
                      chain_eval, soliton_eval)
@@ -69,6 +70,8 @@ _SVG_CELL = 4
 # band's transform and the SVG heatmap take their rows in blocks of
 # max(1, _BLOCK_CELLS // row length)
 _BLOCK_CELLS = 8192
+# the CSV writer's row blocks hold at most this many cells
+_CSV_CELLS = 4096
 
 
 def _check_scale_grid(scales: np.ndarray) -> None:
@@ -92,6 +95,8 @@ class Scalogram:
         a = np.asarray(self.scales, dtype=float)
         w = np.asarray(self.coefficients, dtype=float)
         _check_scale_grid(a)
+        if b.ndim != 1 or b.size == 0:
+            raise ValueError("translations must be a non-empty 1-D grid")
         if w.shape != (a.size, b.size):
             raise ValueError("coefficient shape does not match the grids")
         if not np.all(np.isfinite(w)):
@@ -539,14 +544,24 @@ def redundancy_split(waves, times, positive_role: str = "historical"
 
 
 def scalogram_to_csv(s: Scalogram, path, comments=()) -> None:
-    """CSV matrix with scales down the rows and translations across."""
+    """CSV matrix with scales down the rows and translations across.
+
+    Every number is ``repr`` of its double, Python's shortest text that
+    reads back to it; ``_floatcsv.csv_rows`` writes the header and then
+    the rows, each with its scale, in blocks of at most ``_CSV_CELLS``
+    cells."""
+    n_scales, n_trans = s.coefficients.shape
+    block = max(1, _CSV_CELLS // (n_trans + 1))
+    rows = np.empty((min(block, n_scales), n_trans + 1))
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write("scale," + ",".join(repr(b) for b in s.translations.tolist()) + "\n")
-        for i, a in enumerate(s.scales.tolist()):
-            row = ",".join(repr(v) for v in s.coefficients[i].tolist())
-            fh.write(f"{a!r},{row}\n")
+        fh.write("scale," + csv_rows(s.translations[None, :]).decode("ascii"))
+        for first in range(0, n_scales, block):
+            part = rows[:min(block, n_scales - first)]
+            part[:, 0] = s.scales[first:first + block]
+            part[:, 1:] = s.coefficients[first:first + block]
+            fh.write(csv_rows(part).decode("ascii"))
 
 
 # fill by fade f = round(255 (1 - |z|)): red at f for z >= 0, blue at f + 256
