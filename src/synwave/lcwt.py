@@ -347,10 +347,11 @@ def _candidate_cells(s: Scalogram) -> list[tuple[float, float, float]]:
     with |W| = 0 never qualify. Cells closer than ``_EDGE_SCALES`` scale
     units to either series end lie in the boundary fringe, where
     reflection padding makes coefficients unreliable, and are skipped
-    unless that would leave no cell. Cells rank by |W| descending, then
-    translation ascending, then scale ascending; the first cell of each
-    translation is taken until ``_CANDIDATES`` are chosen, and the seed
-    merge of ``extract_waves`` is the one rule against duplicate seeds.
+    unless that would leave no cell. Each translation's strongest cell,
+    the smallest scale's among equals, is one ``argmax`` down its column;
+    those rank by |W| descending, then translation ascending, and the
+    first ``_CANDIDATES`` are chosen. The seed merge of ``extract_waves``
+    is the one rule against duplicate seeds.
     """
     magnitude = np.abs(s.coefficients)
     local = magnitude > 0.0
@@ -364,17 +365,13 @@ def _candidate_cells(s: Scalogram) -> list[tuple[float, float, float]]:
                 & (offsets[-1] - offsets[None, :] >= margin))
     if interior.any():
         local &= interior
-    rows, cols = np.nonzero(local)
-    scale, trans = s.scales[rows], b[cols]
-    peak = np.abs(s.coefficients[rows, cols])
-    ranked = np.lexsort((scale, trans, -peak))
-    scale, trans, peak = scale[ranked], trans[ranked], peak[ranked]
-    chosen: list[tuple[float, float, float]] = []
-    while trans.size and len(chosen) < _CANDIDATES:
-        chosen.append((float(scale[0]), float(trans[0]), float(peak[0])))
-        other = trans != trans[0]
-        scale, trans, peak = scale[other], trans[other], peak[other]
-    return chosen
+    magnitude *= local
+    rows = magnitude.argmax(axis=0)
+    peak = magnitude[rows, np.arange(b.size)]
+    cols = np.flatnonzero(peak > 0.0)
+    cols = cols[np.lexsort((b[cols], -peak[cols]))[:_CANDIDATES]]
+    return [(float(s.scales[rows[j]]), float(b[j]), float(peak[j]))
+            for j in cols]
 
 
 def _seed_estimate(cell: tuple[float, float, float],
