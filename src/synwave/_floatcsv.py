@@ -98,7 +98,7 @@ def _product(v: np.ndarray, k: np.ndarray):
     """y = v 10^k as an unevaluated sum hi + lo (Dekker's two-product),
     and 10^k's double."""
     column = k - _K_MIN
-    p, p_h, p_l = (np.take(row, column) for row in _POWERS[:3])
+    p, p_h, p_l = (row.take(column) for row in _POWERS[:3])
     hi = v * p
     v_h = _SPLIT * v
     v_h -= v_h - v
@@ -109,7 +109,7 @@ def _product(v: np.ndarray, k: np.ndarray):
     lo += v_h * p_l
     lo += v_l * p_h
     lo += v_l * p_l
-    lo += v * np.take(_POWERS[3], column)
+    lo += v * _POWERS[3].take(column)
     return hi, lo, p
 
 
@@ -199,8 +199,8 @@ def _figures(digits: np.ndarray):
     for column, part in ((0, upper), (2, lower)):
         high = part // 10000
         for j, group in ((column, high), (column + 1, part - high * 10000)):
-            quads[:, j] = np.take(_QUADS, group)
-            zeros = np.take(_TRAILING, group) + (group == 0) * zeros
+            quads[:, j] = _QUADS.take(group)
+            zeros = _TRAILING.take(group) + (group == 0) * zeros
     return top, quads.view("<i8").T, 17 - zeros
 
 
@@ -224,21 +224,21 @@ def _text(x: np.ndarray):
     dot = np.where(scientific, _D1 + 1, _D1 + point)
     at_dot = dot * (kept > dot - _D1)
     words = [(np.signbit(x) * (ord("-") << 8 * _SIGN)
-              | np.take(_LEADING, np.clip(point, -4, 1) + 4))
+              | _LEADING.take(np.minimum(np.maximum(point, -4), 1) + 4))
              + (top + ord("0") << 8 * _D1), *quads]
     out = np.empty((digits.size, 4), "<i8")
     carry = 0
     for i, word in enumerate(words):
         if i:
             # blank the figures after d(kept)
-            kept_here = np.clip(kept + _D1 - 8 * i, 0, 8)
-            word = word & np.take(_LOW_BYTES, kept_here)
-        before_dot = np.clip(dot - 8 * i, 0, 8)
-        head = word & np.take(_LOW_BYTES, before_dot)
+            kept_here = np.minimum(np.maximum(kept + _D1 - 8 * i, 0), 8)
+            word = word & _LOW_BYTES.take(kept_here)
+        before_dot = np.minimum(np.maximum(dot - 8 * i, 0), 8)
+        head = word & _LOW_BYTES.take(before_dot)
         word ^= head
         head |= word << 8
         head |= carry
-        head |= np.take(_POINT[i], at_dot)
+        head |= _POINT[i].take(at_dot)
         out[:, i] = head
         carry = word >> 56
     out[:, 3] = carry
@@ -247,7 +247,7 @@ def _text(x: np.ndarray):
         power = point[rows] - 1
         size = np.abs(power)
         # the last three of four figures, the first of them blank below 100
-        figures = (np.take(_QUADS, size).astype("<i8") >> 8
+        figures = (_QUADS.take(size).astype("<i8") >> 8
                    & np.where(size < 100, 0xffff00, 0xffffff))
         sign = np.where(power < 0, ord("-"), ord("+"))
         out[rows, 3] |= ord("e") << 8 | sign << 16 | figures << 24
