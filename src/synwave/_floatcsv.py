@@ -76,6 +76,15 @@ def csv_rows(block) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
+def write_table(fh, header, columns, comments=()) -> None:
+    """Write a CSV table into the text stream ``fh``: ``# `` comment lines,
+    the header, then the rows of the columns, every cell ``repr`` of its
+    value itself, so an int reads ``0``, not ``0.0``."""
+    fh.writelines(f"# {line}\n" for line in comments)
+    fh.write(",".join(header) + "\n")
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
 def _power_table() -> np.ndarray:
     """10^k for k = _K_MIN + j in column j: the correctly rounded double,
     its two 26-bit halves and the rounded remainder, from exact ints."""

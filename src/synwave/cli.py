@@ -9,14 +9,14 @@ low-confidence extraction or no cointegration).
 
 Each handler only computes: it returns its exit code, the files to write
 and its console lines, or raises on bad input. ``main`` alone creates the
-output directory, after the handler returns, writes every file and prints
-one ``wrote`` line per file, so an exit 1 writes nothing. Every artifact
-but a ``synth`` CSV records the parsed command line (the subcommand and
-every option, the seed included) without the output directory, so
-re-running an identical command reproduces byte-identical files wherever
-they are written; a ``synth`` CSV records the generator's parameters
-instead. ``--seed`` changes only ``synth``'s data; elsewhere it is only
-recorded.
+output directory, after the handler returns, opens every file and hands
+the open stream to its writer (``_write_file``), and prints one ``wrote``
+line per file, so an exit 1 writes nothing. Every artifact but a
+``synth`` CSV records the parsed command line (the subcommand and every
+option, the seed included) without the output directory, so re-running
+an identical command reproduces byte-identical files wherever they are
+written; a ``synth`` CSV records the generator's parameters instead.
+``--seed`` changes only ``synth``'s data; elsewhere it is only recorded.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import infotheory, lcwt, models, stats, synth
+from ._floatcsv import write_table
 from .fit import (FitResult, RegressionResult, TimeSeries, fit_soliton_chain,
                   ols)
 
@@ -62,14 +63,14 @@ def _sanitize(obj):
     return obj
 
 
-def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(fh, payload: dict) -> None:
+    json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
-def write_line_plot(path, times, curves, comments=()) -> None:
-    """Static SVG polylines; ``curves`` maps label -> (values, color)."""
+def write_line_plot(fh, times, curves, comments=()) -> None:
+    """Write static SVG polylines into the text stream ``fh``; ``curves``
+    maps label -> (values, color)."""
     times = np.asarray(times, dtype=float)
     all_values = np.concatenate([np.asarray(v) for v, _ in curves.values()])
     lo, hi = float(all_values.min()), float(all_values.max())
@@ -85,22 +86,17 @@ def write_line_plot(path, times, curves, comments=()) -> None:
         return (_PLOT_HEIGHT - 30.0
                 - (v - lo) / (hi - lo) * (_PLOT_HEIGHT - 50.0))
 
-    parts = [f"<!-- {line} -->" for line in comments]
-    parts.extend([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_WIDTH}" '
-        f'height="{_PLOT_HEIGHT}" viewBox="0 0 {_PLOT_WIDTH} {_PLOT_HEIGHT}">',
-        f'<rect width="{_PLOT_WIDTH}" height="{_PLOT_HEIGHT}" fill="white"/>',
-    ])
+    fh.write(lcwt.svg_head(comments, _PLOT_WIDTH, _PLOT_HEIGHT))
+    fh.write(f'<rect width="{_PLOT_WIDTH}" height="{_PLOT_HEIGHT}" '
+             'fill="white"/>\n')
     for label_index, (label, (values, color)) in enumerate(sorted(curves.items())):
         pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}"
                        for t, v in zip(times, np.asarray(values, dtype=float)))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="50" y="{20 + 14 * label_index}" '
-                     f'fill="{color}" font-size="12">{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(f'<polyline points="{pts}" fill="none" '
+                 f'stroke="{color}" stroke-width="1.5"/>\n'
+                 f'<text x="50" y="{20 + 14 * label_index}" '
+                 f'fill="{color}" font-size="12">{label}</text>\n')
+    fh.write("</svg>\n")
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -207,22 +203,17 @@ def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tupl
 
 
 def _write_file(path: Path, body, config: dict) -> None:
-    """Write one artifact with ``config``: a dict as JSON under the
-    ``config`` key, a ``(header, columns)`` pair as CSV with ``#`` config
-    lines and ``repr``'d cells, and a writer ``(path, comments)`` by
-    calling it with the config lines."""
+    """Open ``path``, the one place an artifact is opened, and write ``body``
+    with ``config`` into it: a dict as JSON with a ``config`` key, a pair
+    ``(header, columns)`` by ``write_table``, else ``body(fh, comments)``."""
     comments = _config_comments(config)
-    if isinstance(body, dict):
-        write_json(path, {"config": config, **body})
-    elif callable(body):
-        body(path, comments)
-    else:
-        header, columns = body
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"# {line}\n" for line in comments)
-            fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in zip(*columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(body, dict):
+            write_json(fh, {"config": config, **body})
+        elif isinstance(body, tuple):
+            write_table(fh, *body, comments)
+        else:
+            body(fh, comments)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +222,10 @@ def _write_file(path: Path, body, config: dict) -> None:
 
 
 def _cmd_synth(args):
-    series, params = synth.synthetic_series(args.kind, args.seed, args.n)
+    table, params = synth.synthetic_series(args.kind, args.seed, args.n)
     return EXIT_OK, {
         f"{args.kind.replace('-', '_')}_{args.seed}.csv":
-            lambda path, _: synth.write_series_csv(path, series, params),
+            lambda fh, _: write_table(fh, *table, params),
     }, []
 
 
@@ -320,12 +311,11 @@ def _extract(series: TimeSeries, args) -> tuple[lcwt.ExtractionResult, dict]:
     extraction = lcwt.extract_waves(
         series, max_waves=args.max_waves, energy_stop=args.energy_stop,
         scales=lcwt.default_scales(len(series), args.scales))
-    scalogram = extraction.scalogram
-    files = {"scalogram.csv": lambda path, comments: lcwt.scalogram_to_csv(
-        scalogram, path, comments)}
+    files = {"scalogram.csv": lambda fh, comments: lcwt.scalogram_to_csv(
+        extraction.scalogram, fh, comments)}
     if args.svg:
-        files["scalogram.svg"] = lambda path, comments: lcwt.scalogram_to_svg(
-            scalogram, path, comments=comments)
+        files["scalogram.svg"] = lambda fh, comments: lcwt.scalogram_to_svg(
+            extraction.scalogram, fh, comments)
     files["wave_trains.json"] = {
         "waves": [w.to_dict() for w in extraction.waves],
         "trains": [t.to_dict()
@@ -402,8 +392,8 @@ def run_pipeline(args):
     files["fit_report.json"] = _fit_payload(chain_fit, regression)
     files["regression_report.json"] = regression.to_dict()
     if args.svg:
-        files["decomposition.svg"] = lambda path, comments: write_line_plot(
-            path, series.times, {
+        files["decomposition.svg"] = lambda fh, comments: write_line_plot(
+            fh, series.times, {
                 "data": (series.values, "#888888"),
                 "fitted chain": (predictions, "#d62728"),
                 "extraction residual": (extraction.residual.values, "#1f77b4"),

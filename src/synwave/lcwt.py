@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -540,8 +541,9 @@ def redundancy_split(waves, times, positive_role: str = "historical"
     )
 
 
-def scalogram_to_csv(s: Scalogram, path, comments=()) -> None:
-    """CSV matrix with scales down the rows and translations across.
+def scalogram_to_csv(s: Scalogram, fh, comments=()) -> None:
+    """Write a CSV matrix into the text stream ``fh`` after ``# `` comment
+    lines: scales down the rows and translations across.
 
     Every number is ``repr`` of its double, Python's shortest text that
     reads back to it; ``_floatcsv.csv_rows`` writes the header and then
@@ -550,15 +552,24 @@ def scalogram_to_csv(s: Scalogram, path, comments=()) -> None:
     n_scales, n_trans = s.coefficients.shape
     block = max(1, _CSV_CELLS // (n_trans + 1))
     rows = np.empty((min(block, n_scales), n_trans + 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("scale," + csv_rows(s.translations[None, :]).decode("ascii"))
-        for first in range(0, n_scales, block):
-            part = rows[:min(block, n_scales - first)]
-            part[:, 0] = s.scales[first:first + block]
-            part[:, 1:] = s.coefficients[first:first + block]
-            fh.write(csv_rows(part).decode("ascii"))
+    fh.writelines(f"# {line}\n" for line in comments)
+    fh.write("scale," + csv_rows(s.translations[None, :]).decode("ascii"))
+    for first in range(0, n_scales, block):
+        part = rows[:min(block, n_scales - first)]
+        part[:, 0] = s.scales[first:first + block]
+        part[:, 1:] = s.coefficients[first:first + block]
+        fh.write(csv_rows(part).decode("ascii"))
+
+
+def svg_head(comments, width, height) -> str:
+    """The first lines of every SVG: one ``<!-- -->`` line per comment,
+    then the ``<svg>`` tag of a ``width`` x ``height`` image. XML forbids
+    ``--`` inside a comment, so each ``-`` that another ``-`` follows is
+    written as ``- ``; text without ``--`` is kept as it is."""
+    return "".join(f"<!-- {re.sub('-(?=-)', '- ', line)} -->\n"
+                   for line in comments) + (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n')
 
 
 # fill by fade f = round(255 (1 - |z|)): red at f for z >= 0, blue at f + 256
@@ -568,10 +579,10 @@ _HEAT_COLORS = tuple([f"#ff{f:02x}{f:02x}" for f in range(256)]
 _HEAT_TAILS = np.array([f'{c}"/>\n' for c in _HEAT_COLORS], dtype=object)
 
 
-def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
-    """Static heatmap of the coefficients, rows = scales (largest on top),
-    coloured by z = W / max|W| (see ``_HEAT_COLORS``), computed in blocks
-    of at most ``_BLOCK_CELLS`` cells."""
+def scalogram_to_svg(s: Scalogram, fh, comments=()) -> None:
+    """Write a heatmap of the coefficients into the text stream ``fh``,
+    rows = scales (largest on top), coloured by z = W / max|W| (see
+    ``_HEAT_COLORS``), in blocks of at most ``_BLOCK_CELLS`` cells."""
     cell = _SVG_CELL
     w = s.coefficients
     n_scales, n_trans = w.shape
@@ -583,18 +594,14 @@ def scalogram_to_svg(s: Scalogram, path, comments=()) -> None:
     pieces = [""] * (3 * n_trans)
     pieces[0::3] = [f'<rect x="{j * cell}" y="' for j in range(n_trans)]
     size = f'" width="{cell}" height="{cell}" fill="'
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"<!-- {line} -->\n")
-        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                 f'height="{height}" viewBox="0 0 {width} {height}">\n')
-        for first in range(0, n_scales, block):
-            # |z| <= 1, and 1 - |z| equals 1 + z for z < 0
-            z = w[first:first + block] / norm
-            fade = np.round(255.0 * (1.0 - np.abs(z))).astype(np.intp)
-            colors = np.where(z >= 0.0, fade, fade + 256)
-            for i, tails in enumerate(_HEAT_TAILS[colors], first):
-                pieces[1::3] = [f"{(n_scales - 1 - i) * cell}{size}"] * n_trans
-                pieces[2::3] = tails.tolist()
-                fh.write("".join(pieces))
-        fh.write("</svg>\n")
+    fh.write(svg_head(comments, width, height))
+    for first in range(0, n_scales, block):
+        # |z| <= 1, and 1 - |z| equals 1 + z for z < 0
+        z = w[first:first + block] / norm
+        fade = np.round(255.0 * (1.0 - np.abs(z))).astype(np.intp)
+        colors = np.where(z >= 0.0, fade, fade + 256)
+        for i, tails in enumerate(_HEAT_TAILS[colors], first):
+            pieces[1::3] = [f"{(n_scales - 1 - i) * cell}{size}"] * n_trans
+            pieces[2::3] = tails.tolist()
+            fh.write("".join(pieces))
+    fh.write("</svg>\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._floatcsv import write_table
 from .fit import TimeSeries
 from .models import (
     LogisticComponent,
@@ -68,20 +69,11 @@ def noise_series(seed: int, n: int = 1000) -> TimeSeries:
     return TimeSeries(np.arange(n, dtype=float), rng.standard_normal(n))
 
 
-def write_series_csv(path, series: TimeSeries, comments=()) -> None:
-    """CSV with a t,value header; comment lines carry the parameters."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("t,value\n")
-        for t, v in zip(series.times.tolist(), series.values.tolist()):
-            fh.write(f"{t!r},{v!r}\n")
-
-
 def synthetic_series(kind: str, seed: int, n: int | None = None
-                     ) -> tuple[TimeSeries, list[str]]:
-    """One seeded dataset and the comment lines that describe it; without
-    ``n`` the generator's own default length applies."""
+                     ) -> tuple[tuple, list[str]]:
+    """One seeded dataset as a ``t,value`` table, ``(header, columns)``,
+    and the comment lines that describe it; without ``n`` the generator's
+    own default length applies."""
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
     length = {} if n is None else {"n": n}
@@ -102,11 +94,12 @@ def synthetic_series(kind: str, seed: int, n: int | None = None
         params = ["kind: noise", f"seed: {seed}"]
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    return series, params
+    return (("t", "value"),
+            (series.times.tolist(), series.values.tolist())), params
 
 
-def generate_synthetic(kind: str, seed: int, path, n: int | None = None) -> str:
-    """Write one synthetic dataset as CSV and return the path."""
-    series, params = synthetic_series(kind, seed, n)
-    write_series_csv(path, series, params)
-    return str(path)
+def generate_synthetic(kind: str, seed: int, path, n: int | None = None) -> None:
+    """Write the CSV that ``synwave synth`` writes to ``path``."""
+    table, params = synthetic_series(kind, seed, n)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_table(fh, *table, params)

@@ -1,9 +1,11 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -265,11 +267,11 @@ class TestSubcommands:
                   "energy_stop": lcwt.DEFAULT_ENERGY_STOP, "svg": False,
                   "value_column": None, "time_column": None, "fill": False,
                   "seed": 0}
-        expected = tmp_path / "expected.csv"
+        expected = io.StringIO()
         lcwt.scalogram_to_csv(
             lcwt.cwt(series, lcwt.default_scales(len(series), 40)), expected,
             cli._config_comments(config))
-        assert (out / "scalogram.csv").read_bytes() == expected.read_bytes()
+        assert (out / "scalogram.csv").read_text() == expected.getvalue()
 
     def test_out_dir_defaults_to_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -470,6 +472,70 @@ class TestConfig:
         assert written[0] == written[1]
 
 
+class TestWriters:
+    """``main`` opens every file; each writer writes into the stream it is
+    given, during the call."""
+
+    def test_bodies_write_their_files_during_the_call(self, tmp_path,
+                                                      capsys):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", 33, data)
+        out = tmp_path / "run"
+        argv = ["pipeline", "--svg", "--input", str(data),
+                "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        config = cli._config(args)
+        _, files, _ = args.handler(args)
+        # scalogram_to_csv, scalogram_to_svg, write_line_plot, write_json
+        # and the table writer each write one of these
+        assert {"scalogram.csv", "scalogram.svg", "decomposition.svg",
+                "validation.json", "redundancy.csv"} <= set(files)
+        for name, body in files.items():
+            fh = io.StringIO()
+            if isinstance(body, dict):
+                cli.write_json(fh, {"config": config, **body})
+            elif isinstance(body, tuple):
+                cli.write_table(fh, *body, cli._config_comments(config))
+            else:
+                body(fh, cli._config_comments(config))
+            assert fh.getvalue() == (out / name).read_text(), name
+
+    def test_lcwt_opens_no_file(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "corn.csv"
+        synth.generate_synthetic("corn-like", 33, data)
+        argv = ["pipeline", "--svg", "--input", str(data), "--out-dir"]
+        assert cli.main([*argv, str(tmp_path / "free")]) == 0
+
+        def no_open(path, *args, **kwargs):
+            raise AssertionError(f"lcwt opened {path}")
+
+        monkeypatch.setattr(lcwt, "open", no_open, raising=False)
+        assert cli.main([*argv, str(tmp_path / "guarded")]) == 0
+        free = {p.name: p.read_bytes() for p in (tmp_path / "free").iterdir()}
+        assert free == {p.name: p.read_bytes()
+                        for p in (tmp_path / "guarded").iterdir()}
+        assert "scalogram.svg" in free
+
+    def test_svg_comments_with_double_hyphens_stay_xml(self, tmp_path,
+                                                       capsys):
+        data = tmp_path / "run--1" / "corn_like_33.csv"
+        data.parent.mkdir()
+        synth.generate_synthetic("corn-like", 33, data)
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--svg", "--input", str(data),
+                         "--out-dir", str(out)]) == 0
+        for name in ("scalogram.svg", "decomposition.svg"):
+            ElementTree.parse(out / name)
+            text = (out / name).read_text()
+            assert "run- -1/corn_like_33.csv -->\n" in text
+        # runs of hyphens, and a hyphen that ends the text
+        head = lcwt.svg_head(["a---b", "--", "c-", "-"], 1, 2)
+        assert head.startswith("<!-- a- - -b -->\n<!-- - - -->\n"
+                               "<!-- c- -->\n<!-- - -->\n<svg ")
+        ElementTree.fromstring(head + "</svg>")
+
+
 # runs in a fresh interpreter; prints the numpy.ma modules that the runs
 # added to sys.modules, a before/after difference so that a numpy which
 # imports numpy.ma eagerly still passes
@@ -492,7 +558,7 @@ print(json.dumps({"codes": codes, "added": added}))
 
 def test_cli_runs_do_not_import_numpy_ma(tmp_path):
     data = tmp_path / "corn.csv"
-    synth.write_series_csv(data, synth.corn_like_series(33))
+    synth.generate_synthetic("corn-like", 33, data)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

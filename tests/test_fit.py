@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -47,16 +48,16 @@ class TestOls:
         assert r.r_squared == pytest.approx(1.0, abs=1e-12)
         assert np.abs(r.residuals).max() < 1e-10
 
-    def test_two_points_exact_line(self, tmp_path):
+    def test_two_points_exact_line(self):
         r = fit.ols([1.0, 3.0], [2.0, 8.0])
         assert r.slope == 3.0
         assert r.intercept == -1.0
         assert r.r_squared == 1.0
         assert np.isnan(r.adjusted_r_squared)
         assert np.isnan(r.t_values).all()
-        path = tmp_path / "regression.json"
-        cli.write_json(path, r.to_dict())
-        written = json.loads(path.read_text(encoding="utf-8"))
+        fh = io.StringIO()
+        cli.write_json(fh, r.to_dict())
+        written = json.loads(fh.getvalue())
         assert written["adj_r2"] is None
         assert written["t_values"] == [None, None]
 

@@ -1,3 +1,4 @@
+import io
 import re
 import tracemalloc
 
@@ -758,9 +759,15 @@ def heat_color_oracle(z: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def svg_fills(path):
-    """{(x, y): fill} of every heatmap cell in an SVG file."""
-    text = path.read_text()
+def written(write) -> str:
+    """The text that ``write(fh)`` writes into a fresh stream."""
+    fh = io.StringIO()
+    write(fh)
+    return fh.getvalue()
+
+
+def svg_fills(text):
+    """{(x, y): fill} of every heatmap cell in an SVG text."""
     cells = re.findall(r'<rect x="(\d+)" y="(\d+)" width="4" height="4" '
                        r'fill="(#[0-9a-f]{6})"/>', text)
     assert len(cells) == text.count("<rect")
@@ -768,23 +775,21 @@ def svg_fills(path):
 
 
 class TestScalogramExport:
-    def test_csv_round_trip_shape(self, tmp_path):
+    def test_csv_round_trip_shape(self):
         scalogram = lcwt.cwt(pulse_series(n=128, center=64.0),
                              np.geomspace(0.5, 6.0, 8))
-        path = tmp_path / "scalogram.csv"
-        lcwt.scalogram_to_csv(scalogram, path, comments=("seed: 0",))
-        lines = [l for l in path.read_text().splitlines()
-                 if l and not l.startswith("#")]
+        text = written(lambda fh: lcwt.scalogram_to_csv(
+            scalogram, fh, comments=("seed: 0",)))
+        lines = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(lines) == 9  # header + 8 scale rows
         header = lines[0].split(",")
         assert header[0] == "scale"
         assert len(header) == 129
 
-    def test_csv_cells_read_back_bit_for_bit(self, tmp_path):
+    def test_csv_cells_read_back_bit_for_bit(self):
         scalogram = lcwt.cwt(synth.corn_like_series(0))
-        path = tmp_path / "scalogram.csv"
-        lcwt.scalogram_to_csv(scalogram, path)
-        header, *rows = path.read_text().splitlines()
+        header, *rows = written(lambda fh: lcwt.scalogram_to_csv(
+            scalogram, fh)).splitlines()
         assert header.startswith("scale,")
         table = np.array([[float(cell) for cell in row.split(",")]
                           for row in rows])
@@ -798,19 +803,18 @@ class TestScalogramExport:
         # 5.0 MB of text; the row blocks peaked at 0.72 MB here, the
         # per-row repr strings at 0.53 MB
         scalogram = lcwt.cwt(random_walk(0, 4000, 1.0))
-        path = tmp_path / "scalogram.csv"
-        assert traced_peak(lambda: lcwt.scalogram_to_csv(scalogram, path)) < 1e6
+        with open(tmp_path / "scalogram.csv", "w", encoding="utf-8") as fh:
+            assert traced_peak(
+                lambda: lcwt.scalogram_to_csv(scalogram, fh)) < 1e6
 
-    def test_svg_heatmap(self, tmp_path):
+    def test_svg_heatmap(self):
         scalogram = lcwt.cwt(pulse_series(n=64, center=32.0),
                              np.geomspace(0.5, 4.0, 6))
-        path = tmp_path / "scalogram.svg"
-        lcwt.scalogram_to_svg(scalogram, path)
-        text = path.read_text()
+        text = written(lambda fh: lcwt.scalogram_to_svg(scalogram, fh))
         assert text.startswith("<svg")
         assert text.count("<rect") == 6 * 64
 
-    def test_svg_fill_follows_the_color_rule(self, tmp_path):
+    def test_svg_fill_follows_the_color_rule(self):
         peak = 510.0
         # +peak, -peak, signed zeros and values that vanish against the
         # peak; 1, 3 and -445 fade to exactly 254.5, 253.5 and 32.5,
@@ -823,24 +827,22 @@ class TestScalogramExport:
             254.5, 253.5, 32.5]
         scalogram = lcwt.Scalogram(np.arange(6.0), np.array([1.0, 2.0]),
                                    coefficients)
-        path = tmp_path / "scalogram.svg"
-        lcwt.scalogram_to_svg(scalogram, path)
+        text = written(lambda fh: lcwt.scalogram_to_svg(scalogram, fh))
         # the largest scale is the top row, y = 0
         expected = {(4 * j, 4 * (1 - i)): heat_color_oracle(w / peak)
                     for (i, j), w in np.ndenumerate(coefficients)}
-        assert svg_fills(path) == expected
+        assert svg_fills(text) == expected
         assert expected[(0, 4)] == "#ff0000" and expected[(4, 4)] == "#0000ff"
         assert expected[(0, 0)] == "#fffefe" and expected[(8, 0)] == "#2020ff"
 
-    def test_all_zero_svg_is_white(self, tmp_path):
+    def test_all_zero_svg_is_white(self):
         # a one-row grid too
         for n_scales in (3, 1):
             scalogram = lcwt.Scalogram(np.arange(5.0),
                                        np.arange(1.0, n_scales + 1.0),
                                        np.zeros((n_scales, 5)))
-            path = tmp_path / "scalogram.svg"
-            lcwt.scalogram_to_svg(scalogram, path)
-            fills = svg_fills(path)
+            fills = svg_fills(written(
+                lambda fh: lcwt.scalogram_to_svg(scalogram, fh)))
             assert set(fills) == {(4 * j, 4 * i) for j in range(5)
                                   for i in range(n_scales)}
             assert set(fills.values()) == {"#ffffff"}
