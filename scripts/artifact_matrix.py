@@ -15,7 +15,7 @@ equal:
     python scripts/artifact_matrix.py matrix-head
     diff -r matrix-base matrix-head
 
-The 149 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
+The 150 runs: ``synth`` of every kind; ``pipeline --svg``, ``cwt --svg``,
 ``fit`` and ``adf`` on corn-like seeds 0-19 and 33; four runs whose CWT
 filter bank has another key than n = 241, dt = 1 and 64 scales, in an
 order where each changes one part of the key from the transform before
@@ -27,7 +27,10 @@ seed 0 at n = 1000, and ``pipeline`` on corn-like seed 33 at n = 1000);
 sign 0.48 samples apart, so any change to how overlapping pulses are
 seeded shows;
 ``cwt --svg`` on 6 samples, fewer than any band's pad, so the reflection
-repeats; ``pipeline`` on patent-like seeds 0-3 (exit 2); ``coint``,
+repeats, and again with those samples in a column named ``v--\x01w``,
+which each artifact's config records, so its SVG must escape both the
+``--`` and the control character to stay XML; ``pipeline`` on
+patent-like seeds 0-3 (exit 2); ``coint``,
 ``entropy`` and ``synergy`` on a 256-row xor stream; ``entropy`` and three
 ``synergy`` runs (window 8 stride 3, subset ``c a`` window 50 stride 7,
 window 600) on 600 seeded rows of three five-label string columns;
@@ -53,6 +56,8 @@ from test_cli import (FAILING_RUNS, write_pair_csv,  # noqa: E402
                       write_two_series_csv)
 
 CORN_SEEDS = [*range(20), 33]
+# a column name holding "--" and a control character
+ODD_COLUMN = "v--\x01w"
 PATENT_SEEDS = range(4)
 
 
@@ -127,11 +132,12 @@ def write_overlap_csv(path):
     path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
 
 
-def write_tiny_csv(path):
-    """Column ``value``: six seeded normal draws, fewer than the 10 samples
-    by which the default grid's one band reflects them."""
+def write_tiny_csv(path, column="value"):
+    """Column ``column``: six seeded normal draws, fewer than the 10
+    samples by which the default grid's one band reflects them."""
     values = np.random.default_rng(3).standard_normal(6)
-    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+    path.write_text(f"{column}\n" + "".join(
+        f"{v!r}\n" for v in values.tolist()))
 
 
 def runs():
@@ -168,6 +174,9 @@ def runs():
     yield ("cwt-energy-stop/overlap", ["cwt", "--energy-stop", "1e-9",
                                         "--input", "inputs/overlap.csv"], 0)
     yield "cwt/tiny", ["cwt", "--svg", "--input", "inputs/tiny.csv"], 0
+    yield ("cwt-svg-odd-column/tiny",
+           ["cwt", "--svg", "--value-column", ODD_COLUMN,
+            "--input", "inputs/odd_column.csv"], 0)
     for seed in PATENT_SEEDS:
         yield (f"pipeline/patent_like_{seed}",
                ["pipeline", "--seed", str(seed), "--input",
@@ -238,6 +247,7 @@ def main() -> int:
     write_crossing_csv(inputs / "crossing.csv")
     write_overlap_csv(inputs / "overlap.csv")
     write_tiny_csv(inputs / "tiny.csv")
+    write_tiny_csv(inputs / "odd_column.csv", ODD_COLUMN)
     total = unexpected = 0
     for name, argv, expected in runs():
         code = run(name, argv)

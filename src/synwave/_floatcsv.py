@@ -76,11 +76,10 @@ def csv_rows(block) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
-def write_table(fh, header, columns, comments=()) -> None:
-    """Write a CSV table into the text stream ``fh``: ``# `` comment lines,
-    the header, then the rows of the columns, every cell ``repr`` of its
-    value itself, so an int reads ``0``, not ``0.0``."""
-    fh.writelines(f"# {line}\n" for line in comments)
+def write_table(fh, header, columns) -> None:
+    """Write a CSV table into the text stream ``fh``: the header, then the
+    rows of the columns, every cell ``repr`` of its value itself, so an
+    int reads ``0``, not ``0.0``."""
     fh.write(",".join(header) + "\n")
     fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 

@@ -11,12 +11,13 @@ Each handler only computes: it returns its exit code, the files to write
 and its console lines, or raises on bad input. ``main`` alone creates the
 output directory, after the handler returns, opens every file and hands
 the open stream to its writer (``_write_file``), and prints one ``wrote``
-line per file, so an exit 1 writes nothing. Every artifact but a
-``synth`` CSV records the parsed command line (the subcommand and every
-option, the seed included) without the output directory, so re-running
-an identical command reproduces byte-identical files wherever they are
-written; a ``synth`` CSV records the generator's parameters instead.
-``--seed`` changes only ``synth``'s data; elsewhere it is only recorded.
+line per file, so an exit 1 writes nothing. Every artifact records the
+parsed command line (the subcommand and every option, the seed
+included) without the output directory, so re-running an identical
+command reproduces byte-identical files wherever they are written.
+``_write_file`` alone writes that record; each writer writes only its
+body. ``--seed`` changes only ``synth``'s data; elsewhere it is only
+recorded.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -68,7 +70,7 @@ def write_json(fh, payload: dict) -> None:
     fh.write("\n")
 
 
-def write_line_plot(fh, times, curves, comments=()) -> None:
+def write_line_plot(fh, times, curves) -> None:
     """Write static SVG polylines into the text stream ``fh``; ``curves``
     maps label -> (values, color)."""
     times = np.asarray(times, dtype=float)
@@ -86,7 +88,7 @@ def write_line_plot(fh, times, curves, comments=()) -> None:
         return (_PLOT_HEIGHT - 30.0
                 - (v - lo) / (hi - lo) * (_PLOT_HEIGHT - 50.0))
 
-    fh.write(lcwt.svg_head(comments, _PLOT_WIDTH, _PLOT_HEIGHT))
+    fh.write(lcwt.svg_head(_PLOT_WIDTH, _PLOT_HEIGHT))
     fh.write(f'<rect width="{_PLOT_WIDTH}" height="{_PLOT_HEIGHT}" '
              'fill="white"/>\n')
     for label_index, (label, (values, color)) in enumerate(sorted(curves.items())):
@@ -106,8 +108,20 @@ def _config(args: argparse.Namespace) -> dict:
             if key not in ("handler", "out_dir")}
 
 
-def _config_comments(config: dict) -> list[str]:
-    return [f"{key}: {config[key]}" for key in sorted(config)]
+def _config_header(config: dict, suffix: str) -> str:
+    """``config``'s lines ``key: value``, in key order, as the ``# `` lines
+    of a CSV or, for ``suffix`` ``.svg``, the ``<!-- -->`` lines of an SVG,
+    where a ``-`` that another ``-`` follows is written ``- `` (XML forbids
+    ``--`` in a comment). A character that ``str.isprintable`` rejects is
+    written as its Python escape (``\\x01``, ``\\n``, ``\\udcff``)."""
+    lines = [f"{key}: {config[key]}" for key in sorted(config)]
+    lines = [line if line.isprintable() else "".join(
+        c if c.isprintable() else repr(c)[1:-1] for c in line)
+        for line in lines]
+    if suffix == ".svg":
+        return "".join(f"<!-- {re.sub('-(?=-)', '- ', line)} -->\n"
+                       for line in lines)
+    return "".join(f"# {line}\n" for line in lines)
 
 
 def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -203,17 +217,19 @@ def read_categorical_csv(path, columns=None) -> tuple[tuple[str, ...], list[tupl
 
 
 def _write_file(path: Path, body, config: dict) -> None:
-    """Open ``path``, the one place an artifact is opened, and write ``body``
-    with ``config`` into it: a dict as JSON with a ``config`` key, a pair
-    ``(header, columns)`` by ``write_table``, else ``body(fh, comments)``."""
-    comments = _config_comments(config)
+    """Open ``path``, the one place an artifact is opened, and write
+    ``config`` and ``body`` into it: a dict as JSON with a ``config`` key;
+    any other body after ``config``'s comment lines (``_config_header``),
+    a pair ``(header, columns)`` by ``write_table``, else ``body(fh)``."""
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(body, dict):
             write_json(fh, {"config": config, **body})
-        elif isinstance(body, tuple):
-            write_table(fh, *body, comments)
+            return
+        fh.write(_config_header(config, path.suffix))
+        if isinstance(body, tuple):
+            write_table(fh, *body)
         else:
-            body(fh, comments)
+            body(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +238,8 @@ def _write_file(path: Path, body, config: dict) -> None:
 
 
 def _cmd_synth(args):
-    table, params = synth.synthetic_series(args.kind, args.seed, args.n)
-    return EXIT_OK, {
-        f"{args.kind.replace('-', '_')}_{args.seed}.csv":
-            lambda fh, _: write_table(fh, *table, params),
-    }, []
+    return EXIT_OK, {f"{args.kind.replace('-', '_')}_{args.seed}.csv":
+                     synth.synthetic_series(args.kind, args.seed, args.n)}, []
 
 
 def _cmd_entropy(args):
@@ -311,11 +324,11 @@ def _extract(series: TimeSeries, args) -> tuple[lcwt.ExtractionResult, dict]:
     extraction = lcwt.extract_waves(
         series, max_waves=args.max_waves, energy_stop=args.energy_stop,
         scales=lcwt.default_scales(len(series), args.scales))
-    files = {"scalogram.csv": lambda fh, comments: lcwt.scalogram_to_csv(
-        extraction.scalogram, fh, comments)}
+    files = {"scalogram.csv": lambda fh: lcwt.scalogram_to_csv(
+        extraction.scalogram, fh)}
     if args.svg:
-        files["scalogram.svg"] = lambda fh, comments: lcwt.scalogram_to_svg(
-            extraction.scalogram, fh, comments)
+        files["scalogram.svg"] = lambda fh: lcwt.scalogram_to_svg(
+            extraction.scalogram, fh)
     files["wave_trains.json"] = {
         "waves": [w.to_dict() for w in extraction.waves],
         "trains": [t.to_dict()
@@ -392,12 +405,12 @@ def run_pipeline(args):
     files["fit_report.json"] = _fit_payload(chain_fit, regression)
     files["regression_report.json"] = regression.to_dict()
     if args.svg:
-        files["decomposition.svg"] = lambda fh, comments: write_line_plot(
+        files["decomposition.svg"] = lambda fh: write_line_plot(
             fh, series.times, {
                 "data": (series.values, "#888888"),
                 "fitted chain": (predictions, "#d62728"),
                 "extraction residual": (extraction.residual.values, "#1f77b4"),
-            }, comments)
+            })
     files["redundancy.csv"] = (
         ("t", "historical", "synergetic", "total"),
         (series.times.tolist(), split.historical.tolist(),

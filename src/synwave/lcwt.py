@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -541,9 +540,9 @@ def redundancy_split(waves, times, positive_role: str = "historical"
     )
 
 
-def scalogram_to_csv(s: Scalogram, fh, comments=()) -> None:
-    """Write a CSV matrix into the text stream ``fh`` after ``# `` comment
-    lines: scales down the rows and translations across.
+def scalogram_to_csv(s: Scalogram, fh) -> None:
+    """Write a CSV matrix into the text stream ``fh``: scales down the
+    rows and translations across.
 
     Every number is ``repr`` of its double, Python's shortest text that
     reads back to it; ``_floatcsv.csv_rows`` writes the header and then
@@ -552,7 +551,6 @@ def scalogram_to_csv(s: Scalogram, fh, comments=()) -> None:
     n_scales, n_trans = s.coefficients.shape
     block = max(1, _CSV_CELLS // (n_trans + 1))
     rows = np.empty((min(block, n_scales), n_trans + 1))
-    fh.writelines(f"# {line}\n" for line in comments)
     fh.write("scale," + csv_rows(s.translations[None, :]).decode("ascii"))
     for first in range(0, n_scales, block):
         part = rows[:min(block, n_scales - first)]
@@ -561,15 +559,11 @@ def scalogram_to_csv(s: Scalogram, fh, comments=()) -> None:
         fh.write(csv_rows(part).decode("ascii"))
 
 
-def svg_head(comments, width, height) -> str:
-    """The first lines of every SVG: one ``<!-- -->`` line per comment,
-    then the ``<svg>`` tag of a ``width`` x ``height`` image. XML forbids
-    ``--`` inside a comment, so each ``-`` that another ``-`` follows is
-    written as ``- ``; text without ``--`` is kept as it is."""
-    return "".join(f"<!-- {re.sub('-(?=-)', '- ', line)} -->\n"
-                   for line in comments) + (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n')
+def svg_head(width, height) -> str:
+    """The ``<svg>`` tag that opens every SVG, of a ``width`` x ``height``
+    image."""
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">\n')
 
 
 # fill by fade f = round(255 (1 - |z|)): red at f for z >= 0, blue at f + 256
@@ -579,7 +573,7 @@ _HEAT_COLORS = tuple([f"#ff{f:02x}{f:02x}" for f in range(256)]
 _HEAT_TAILS = np.array([f'{c}"/>\n' for c in _HEAT_COLORS], dtype=object)
 
 
-def scalogram_to_svg(s: Scalogram, fh, comments=()) -> None:
+def scalogram_to_svg(s: Scalogram, fh) -> None:
     """Write a heatmap of the coefficients into the text stream ``fh``,
     rows = scales (largest on top), coloured by z = W / max|W| (see
     ``_HEAT_COLORS``), in blocks of at most ``_BLOCK_CELLS`` cells."""
@@ -594,7 +588,7 @@ def scalogram_to_svg(s: Scalogram, fh, comments=()) -> None:
     pieces = [""] * (3 * n_trans)
     pieces[0::3] = [f'<rect x="{j * cell}" y="' for j in range(n_trans)]
     size = f'" width="{cell}" height="{cell}" fill="'
-    fh.write(svg_head(comments, width, height))
+    fh.write(svg_head(width, height))
     for first in range(0, n_scales, block):
         # |z| <= 1, and 1 - |z| equals 1 + z for z < 0
         z = w[first:first + block] / norm

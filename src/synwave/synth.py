@@ -69,37 +69,22 @@ def noise_series(seed: int, n: int = 1000) -> TimeSeries:
     return TimeSeries(np.arange(n, dtype=float), rng.standard_normal(n))
 
 
-def synthetic_series(kind: str, seed: int, n: int | None = None
-                     ) -> tuple[tuple, list[str]]:
-    """One seeded dataset as a ``t,value`` table, ``(header, columns)``,
-    and the comment lines that describe it; without ``n`` the generator's
-    own default length applies."""
+def synthetic_series(kind: str, seed: int, n: int | None = None) -> tuple:
+    """One seeded dataset as a ``t,value`` table, ``(header, columns)``;
+    without ``n`` the generator's own default length applies."""
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
-    length = {} if n is None else {"n": n}
-    if kind == "corn-like":
-        series = corn_like_series(seed, **length)
-        params = [
-            "kind: corn-like",
-            f"seed: {seed}",
-            f"beta: {CORN_BETA}",
-            f"pulses (A, k, center): {CORN_PULSES}",
-            f"noise_fraction: {CORN_NOISE_FRACTION}",
-        ]
-    elif kind == "patent-like":
-        series = patent_like_series(seed, **length)
-        params = ["kind: patent-like", f"seed: {seed}"]
-    elif kind == "noise":
-        series = noise_series(seed, **length)
-        params = ["kind: noise", f"seed: {seed}"]
-    else:
+    generators = {"corn-like": corn_like_series,
+                  "patent-like": patent_like_series, "noise": noise_series}
+    if kind not in generators:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    return (("t", "value"),
-            (series.times.tolist(), series.values.tolist())), params
+    series = generators[kind](seed, **({} if n is None else {"n": n}))
+    return ("t", "value"), (series.times.tolist(), series.values.tolist())
 
 
 def generate_synthetic(kind: str, seed: int, path, n: int | None = None) -> None:
-    """Write the CSV that ``synwave synth`` writes to ``path``."""
-    table, params = synthetic_series(kind, seed, n)
+    """Write the table that ``synwave synth`` writes to ``path``, without
+    its ``#`` lines."""
+    table = synthetic_series(kind, seed, n)
     with open(path, "w", encoding="utf-8") as fh:
-        write_table(fh, *table, params)
+        write_table(fh, *table)

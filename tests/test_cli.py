@@ -268,9 +268,9 @@ class TestSubcommands:
                   "value_column": None, "time_column": None, "fill": False,
                   "seed": 0}
         expected = io.StringIO()
+        expected.write(cli._config_header(config, ".csv"))
         lcwt.scalogram_to_csv(
-            lcwt.cwt(series, lcwt.default_scales(len(series), 40)), expected,
-            cli._config_comments(config))
+            lcwt.cwt(series, lcwt.default_scales(len(series), 40)), expected)
         assert (out / "scalogram.csv").read_text() == expected.getvalue()
 
     def test_out_dir_defaults_to_cwd(self, tmp_path, monkeypatch):
@@ -432,26 +432,64 @@ class TestConfig:
     """Every artifact records the parsed command line without the handler
     and the output directory."""
 
-    @pytest.mark.parametrize("command", ["fit", "cwt", "adf", "pipeline"])
+    @pytest.mark.parametrize("command", ["fit", "cwt", "adf", "pipeline",
+                                         "synth"])
     def test_config_is_the_parsed_command_line(self, tmp_path, command):
         data = write_two_series_csv(tmp_path / "two.csv")
         configs = []
-        for column in ("a", "b"):
+        for column, seed in (("a", "1"), ("b", "2")):
             out = tmp_path / column
-            argv = [command, "--input", str(data), "--value-column", column,
-                    "--out-dir", str(out)]
+            argv = [command, "--out-dir", str(out), *(
+                ["--kind", "noise", "--seed", seed] if command == "synth"
+                else ["--input", str(data), "--value-column", column])]
+            if command in ("cwt", "pipeline"):
+                argv.append("--svg")
             assert cli.main(argv) == 0
             expected = vars(cli.build_parser().parse_args(argv))
             del expected["handler"], expected["out_dir"]
+            lines = [f"{key}: {expected[key]}" for key in sorted(expected)]
             recorded = [json.loads(path.read_text())["config"]
                         for path in out.glob("*.json")]
-            assert recorded and all(c == expected for c in recorded)
-            comments = [f"# {line}" for line in cli._config_comments(expected)]
-            for path in out.glob("*.csv"):
+            # synth writes one CSV and no JSON; fit and adf only JSON
+            assert recorded or command == "synth"
+            assert all(c == expected for c in recorded)
+            csvs = list(out.glob("*.csv"))
+            assert csvs or command in ("fit", "adf")
+            for path in csvs:
                 assert [line for line in path.read_text().splitlines()
-                        if line.startswith("#")] == comments
-            configs.append(recorded[0])
+                        if line.startswith("#")] == [f"# {l}" for l in lines]
+            svgs = list(out.glob("*.svg"))
+            assert len(svgs) == {"cwt": 1, "pipeline": 2}.get(command, 0)
+            for path in svgs:
+                assert [line for line in path.read_text().splitlines()
+                        if line.startswith("<!--")] == [
+                    f"<!-- {l} -->" for l in lines]
+            configs.append(expected)
         assert configs[0] != configs[1]
+
+    @pytest.mark.parametrize("directory", [
+        "a\x01b", "a\nb", os.fsdecode(b"bad\xff")],
+        ids=["control", "newline", "undecodable"])
+    def test_unprintable_config_text_is_escaped(self, tmp_path, capsys,
+                                                directory):
+        data = tmp_path / directory / "corn.csv"
+        data.parent.mkdir()
+        synth.generate_synthetic("corn-like", 33, data)
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--svg", "--input", str(data),
+                         "--out-dir", str(out)]) == 0
+        escaped = f"input: {repr(str(data))[1:-1]}"
+        for name in ("scalogram.svg", "decomposition.svg"):
+            ElementTree.parse(out / name)
+            assert f"<!-- {escaped} -->\n" in (out / name).read_text()
+        for name, header in (("scalogram.csv", "scale,"),
+                             ("redundancy.csv", "t,historical,")):
+            lines = (out / name).read_text().splitlines()
+            assert f"# {escaped}" in lines
+            assert next(line for line in lines
+                        if not line.startswith("#")).startswith(header)
+        for path in out.glob("*.json"):
+            assert json.loads(path.read_text())["config"]["input"] == str(data)
 
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--svg"], ["fit"], ["cwt", "--svg"], ["adf"],
@@ -495,10 +533,12 @@ class TestWriters:
             fh = io.StringIO()
             if isinstance(body, dict):
                 cli.write_json(fh, {"config": config, **body})
-            elif isinstance(body, tuple):
-                cli.write_table(fh, *body, cli._config_comments(config))
             else:
-                body(fh, cli._config_comments(config))
+                fh.write(cli._config_header(config, Path(name).suffix))
+                if isinstance(body, tuple):
+                    cli.write_table(fh, *body)
+                else:
+                    body(fh)
             assert fh.getvalue() == (out / name).read_text(), name
 
     def test_lcwt_opens_no_file(self, tmp_path, monkeypatch, capsys):
@@ -529,11 +569,14 @@ class TestWriters:
             ElementTree.parse(out / name)
             text = (out / name).read_text()
             assert "run- -1/corn_like_33.csv -->\n" in text
-        # runs of hyphens, and a hyphen that ends the text
-        head = lcwt.svg_head(["a---b", "--", "c-", "-"], 1, 2)
-        assert head.startswith("<!-- a- - -b -->\n<!-- - - -->\n"
-                               "<!-- c- -->\n<!-- - -->\n<svg ")
-        ElementTree.fromstring(head + "</svg>")
+        # runs of hyphens, and a hyphen that ends the text; a CSV keeps them
+        config = {"a": "b---c", "d": "--", "e": "f-", "g-": "-"}
+        head = cli._config_header(config, ".svg")
+        assert head == ("<!-- a: b- - -c -->\n<!-- d: - - -->\n"
+                        "<!-- e: f- -->\n<!-- g-: - -->\n")
+        ElementTree.fromstring(head + lcwt.svg_head(1, 2) + "</svg>")
+        assert cli._config_header(config, ".csv") == (
+            "# a: b---c\n# d: --\n# e: f-\n# g-: -\n")
 
 
 # runs in a fresh interpreter; prints the numpy.ma modules that the runs

@@ -778,10 +778,9 @@ class TestScalogramExport:
     def test_csv_round_trip_shape(self):
         scalogram = lcwt.cwt(pulse_series(n=128, center=64.0),
                              np.geomspace(0.5, 6.0, 8))
-        text = written(lambda fh: lcwt.scalogram_to_csv(
-            scalogram, fh, comments=("seed: 0",)))
-        lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-        assert len(lines) == 9  # header + 8 scale rows
+        text = written(lambda fh: lcwt.scalogram_to_csv(scalogram, fh))
+        lines = text.splitlines()
+        assert len(lines) == 9  # header + 8 scale rows, no comment line
         header = lines[0].split(",")
         assert header[0] == "scale"
         assert len(header) == 129
